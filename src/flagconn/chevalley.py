@@ -363,14 +363,40 @@ def project_m(mb: MBasis, x: LieElement, tol: float = 1e-9) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def m_bracket_entries(
+    sc: StructureConstants, mb: MBasis
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries T[i, j, k] = t of the m-bracket, as arrays (i, j, k, t).
+
+    Read off the root triples: a pair (g, d) with g + d = s a positive root
+    brackets the E_g, E_d parts of e_i, e_j into N(g, d) E_s. E_g has
+    coefficient sign(g) in U_|g| and i in V_|g|, and the real and imaginary
+    parts of the E_s coefficient are the U_s and V_s coordinates, so each
+    such pair gives exactly four entries, one per choice of U or V on each
+    side. No two pairs share an entry: g + d = g' + d' with g' = +-g,
+    d' = +-d forces g' = g, d' = d.
+    """
+    rs = sc.rs
+    block = {a: p for p, a in enumerate(rs.positive_roots)}
+    block.update({negate(a): p for a, p in block.items()})
+    p, q, r, sg, sd, n = np.array([
+        (block[g], block[d], block[s], 1 if rs.is_positive(g) else -1,
+         1 if rs.is_positive(d) else -1, sc.n_coeff[(g, d)])
+        for (g, d), s in rs.sum_table.items() if rs.is_positive(s)
+    ], dtype=np.intp).reshape(-1, 6).T
+    i = np.concatenate([2 * p, 2 * p, 2 * p + 1, 2 * p + 1])
+    j = np.concatenate([2 * q, 2 * q + 1, 2 * q, 2 * q + 1])
+    k = np.concatenate([2 * r, 2 * r + 1, 2 * r + 1, 2 * r])  # UU, UV, VU, VV
+    t = np.concatenate([sg * sd * n, sg * n, sd * n, -n]).astype(float)
+    for a in (i, j, k, t):
+        a.flags.writeable = False  # shared through the cache
+    return i, j, k, t
+
+
+@functools.lru_cache(maxsize=None)
 def m_bracket_table(sc: StructureConstants, mb: MBasis) -> np.ndarray:
     """Dense table T[i, j, :] = m coordinates of [e_i, e_j]_m."""
-    n = mb.dim
-    table = np.zeros((n, n, n))
-    elems = [
-        mb.u_vec(alpha) if kind == "U" else mb.v_vec(alpha) for alpha, kind in mb.labels
-    ]
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = project_m(mb, bracket(sc, elems[i], elems[j]))
+    i, j, k, t = m_bracket_entries(sc, mb)
+    table = np.zeros((mb.dim,) * 3)
+    table[i, j, k] = t
     return table

@@ -22,6 +22,7 @@ from .connection import ConnectionTensor, assemble_tensor
 from .errors import ConfigurationError, FlagConnError
 from .metric import MetricSpec, build_metric
 from .oracle import (
+    DEFAULT_TOLERANCE,
     check_lemma2,
     check_metric_compat,
     check_oracle_equivalence,
@@ -32,7 +33,6 @@ from .su_realization import check_su_crosscheck
 
 CHECK_NAMES = ("oracle", "torsion", "metric", "lemma2", "su-crosscheck")
 SPARSE_THRESHOLD = 1e-12
-DEFAULT_TOLERANCE = 1e-9
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -4,25 +4,23 @@ The connection splits as nabla_X Y = (1/2)[X, Y]_m + U(X, Y). The symmetric
 term U is evaluated in closed form: on single root components it is
 
     U(X_g, Y_d) = (c_|g| - c_|d|) / (2 c_|g+d|) * [Y_d, X_g]   if g+d is a root,
-    0 otherwise,
+    0 otherwise.
 
-and on general tangent vectors it is a sum of four-bracket combinations
-Z over pairs of positive roots, grouped so that each family
-{(a,b), (b,a), (-a,-b), (-b,-a)} contributes exactly once:
+Over the real basis of m, each nonzero entry T[i, j, k] of the m-bracket
+table comes from a single root pair (g, d), up to negating both, with e_i in
+m^|g|, e_j in m^|d| and e_k in m^|g+d| (chevalley.m_bracket_entries). The
+formula therefore weights the table entry by entry:
 
-    U(X, Y) = sum_{a<b, a+b in R+} (c_a - c_b)/(2 c_{a+b}) Z(a, b)
-            + sum_{b-a in R+}      (c_a - c_b)/(2 c_{b-a}) Z(-a, b).
+    U(e_i, e_j)_k = (c_|i| - c_|j|) / (2 c_|k|) * (-T[i, j, k]),
 
-Note the second sum takes Z at (-a, b): that pair is the canonical
-representative of its family (the one with |first| < second), and the
-grouped contribution of the family equals the stated coefficient times Z at
-exactly that representative. The brute-force oracle module verifies the
-whole formula against the defining linear condition of U.
+where |i| is the positive root whose block holds e_i. A point query U(x, y)
+sums the weighted entries against x_i y_j; the dense tensor scatters them.
+The brute-force oracle module verifies the weights against the defining
+linear condition of U and shares only the bracket table with this module.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +29,11 @@ from .chevalley import (
     LieElement,
     MBasis,
     StructureConstants,
-    bracket,
+    m_bracket_entries,
     m_bracket_table,
     project_m,
 )
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .metric import MetricSpec
 from .rootsys import Coords, RootSystem, abs_root, add_roots, negate
 
@@ -91,41 +89,6 @@ def u_root_pair(
     return LieElement.root_vector(rs.rank, s, coeff * y_coeff * x_coeff * sc.n(delta, gamma))
 
 
-def _components(mb: MBasis, x: np.ndarray) -> dict[Coords, complex]:
-    """Complex root components of a real m coordinate vector."""
-    out: dict[Coords, complex] = {}
-    for k, alpha in enumerate(mb.rs.positive_roots):
-        u, v = x[2 * k], x[2 * k + 1]
-        if u or v:
-            out[alpha] = complex(u, v)
-            out[negate(alpha)] = complex(-u, v)
-    return out
-
-
-def _z_components(
-    sc: StructureConstants,
-    dx: dict[Coords, complex],
-    dy: dict[Coords, complex],
-    alpha: Coords,
-    beta: Coords,
-) -> dict[Coords, complex]:
-    """Root-space part of [Y_b, X_a] + [X_b, Y_a] + [Y_{-b}, X_{-a}] + [X_{-b}, Y_{-a}].
-
-    Cartan contributions (only possible when beta = -alpha) are dropped,
-    which is the projection to m.
-    """
-    rs = sc.rs
-    out: dict[Coords, complex] = {}
-    for r1, r2 in ((beta, alpha), (negate(beta), negate(alpha))):
-        s = add_roots(r1, r2)
-        if s not in rs.all_roots:
-            continue
-        w = dy.get(r1, 0.0) * dx.get(r2, 0.0) + dx.get(r1, 0.0) * dy.get(r2, 0.0)
-        if w:
-            out[s] = out.get(s, 0.0) + w * sc.n_coeff[(r1, r2)]
-    return out
-
-
 def z_term(
     sc: StructureConstants,
     mb: MBasis,
@@ -134,34 +97,49 @@ def z_term(
     alpha: Coords,
     beta: Coords,
 ) -> np.ndarray:
-    """The four-bracket combination Z for the root pair, projected to m."""
+    """The four-bracket combination Z for the root pair, projected to m.
+
+    Z = [Y_b, X_a] + [X_b, Y_a] + [Y_{-b}, X_{-a}] + [X_{-b}, Y_{-a}]. Cartan
+    contributions (only possible when beta = -alpha) are dropped, which is
+    the projection to m.
+    """
     rs = sc.rs
     if alpha not in rs.all_roots or beta not in rs.all_roots:
         raise DomainError(f"arguments must be roots of {rs.family}{rs.rank}")
-    dx = _components(mb, np.asarray(x, dtype=float))
-    dy = _components(mb, np.asarray(y, dtype=float))
-    comps = _z_components(sc, dx, dy, alpha, beta)
+    dx, dy = mb.to_lie(x).roots, mb.to_lie(y).roots
+    comps: dict[Coords, complex] = {}
+    for r1, r2 in ((beta, alpha), (negate(beta), negate(alpha))):
+        s = add_roots(r1, r2)
+        if s not in rs.all_roots:
+            continue
+        w = dy.get(r1, 0.0) * dx.get(r2, 0.0) + dx.get(r1, 0.0) * dy.get(r2, 0.0)
+        if w:
+            comps[s] = w * sc.n_coeff[(r1, r2)]
     return project_m(mb, LieElement(rs.rank, np.zeros(rs.rank), comps))
 
 
-@functools.lru_cache(maxsize=None)
-def _grouped_pairs(rs: RootSystem):
-    """Index data for the two sums over ordered pairs of positive roots.
+def _coords(mb: MBasis, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (mb.dim,):
+        raise DimensionError(f"expected coordinate length {mb.dim}, got {x.shape}")
+    return x
 
-    sum1: a < b with a + b a positive root; sum2: b - a a positive root.
-    """
-    pos = rs.positive_roots
-    sum1 = []
-    sum2 = []
-    for a in pos:
-        for b in pos:
-            s = add_roots(a, b)
-            if s in rs.all_roots and a < b:
-                sum1.append((a, b, s))
-            d = add_roots(b, negate(a))
-            if d in rs.all_roots and rs.is_positive(d):
-                sum2.append((a, b, d))
-    return tuple(sum1), tuple(sum2)
+
+def _u_entries(sc: StructureConstants, mb: MBasis, spec: MetricSpec):
+    """(i, j, k, U(e_i, e_j)_k) on the nonzero entries of the m-bracket table."""
+    i, j, k, t = m_bracket_entries(sc, mb)
+    c = np.repeat([spec.c(a) for a in sc.rs.positive_roots], 2)
+    # U(e_i, e_j) = (c_i - c_j) / (2 c_k) [e_j, e_i]_m, and [e_j, e_i]_m = -T[i, j];
+    # the difference comes first so that equal coefficients give exactly zero
+    return i, j, k, (c[i] - c[j]) / (2.0 * c[k]) * -t
+
+
+def _u_tensor(sc: StructureConstants, mb: MBasis, spec: MetricSpec) -> np.ndarray:
+    """Dense closed-form U[i, j, k] = U(e_i, e_j)_k over all basis pairs."""
+    i, j, k, u = _u_entries(sc, mb, spec)
+    out = np.zeros((mb.dim,) * 3)
+    out[i, j, k] = u
+    return out
 
 
 def u_bilinear(
@@ -171,28 +149,10 @@ def u_bilinear(
     x: np.ndarray,
     y: np.ndarray,
 ) -> np.ndarray:
-    """The symmetric term U(x, y) over the m basis, via the grouped sums."""
-    rs = sc.rs
-    dx = _components(mb, np.asarray(x, dtype=float))
-    dy = _components(mb, np.asarray(y, dtype=float))
-    sum1, sum2 = _grouped_pairs(rs)
-    c = spec.c
-    acc: dict[Coords, complex] = {}
-    for a, b, s in sum1:
-        diff = c(a) - c(b)
-        if diff == 0.0:
-            continue
-        coeff = diff / (2.0 * c(s))
-        for r, w in _z_components(sc, dx, dy, a, b).items():
-            acc[r] = acc.get(r, 0.0) + coeff * w
-    for a, b, d in sum2:
-        diff = c(a) - c(b)
-        if diff == 0.0:
-            continue
-        coeff = diff / (2.0 * c(d))
-        for r, w in _z_components(sc, dx, dy, negate(a), b).items():
-            acc[r] = acc.get(r, 0.0) + coeff * w
-    return project_m(mb, LieElement(rs.rank, np.zeros(rs.rank), acc))
+    """The symmetric term U(x, y) over the m basis, summed over the table entries."""
+    i, j, k, u = _u_entries(sc, mb, spec)
+    x, y = _coords(mb, x), _coords(mb, y)
+    return np.bincount(k, weights=u * x[i] * y[j], minlength=mb.dim)
 
 
 def nabla(
@@ -203,17 +163,14 @@ def nabla(
     y: np.ndarray,
 ) -> np.ndarray:
     """Covariant derivative nabla_x y at the base point, in m coordinates."""
-    half = 0.5 * project_m(mb, bracket(sc, mb.to_lie(x), mb.to_lie(y)))
+    i, j, k, t = m_bracket_entries(sc, mb)
+    x, y = _coords(mb, x), _coords(mb, y)
+    half = 0.5 * np.bincount(k, weights=t * x[i] * y[j], minlength=mb.dim)
     return half + u_bilinear(sc, mb, spec, x, y)
 
 
 def assemble_tensor(sc: StructureConstants, mb: MBasis, spec: MetricSpec) -> ConnectionTensor:
     """Materialize nabla over all basis pairs as a dense 3-index array."""
     spec.validate(sc.rs)
-    n = mb.dim
-    gamma = 0.5 * m_bracket_table(sc, mb).copy()
-    basis = [mb.basis_vector(k) for k in range(n)]
-    for i in range(n):
-        for j in range(n):
-            gamma[i, j] += u_bilinear(sc, mb, spec, basis[i], basis[j])
+    gamma = 0.5 * m_bracket_table(sc, mb) + _u_tensor(sc, mb, spec)
     return ConnectionTensor(mbasis=mb, gamma=gamma)

@@ -45,10 +45,10 @@ class MetricSpec:
         for alpha in rs.positive_roots:
             if alpha not in self.coeffs:
                 raise ConfigurationError(f"missing metric coefficient for root {alpha}")
-            if not self.coeffs[alpha] > 0:
+            c = self.coeffs[alpha]
+            if not (c > 0 and np.isfinite(c)):
                 raise ConfigurationError(
-                    f"metric coefficient for root {alpha} must be positive, "
-                    f"got {self.coeffs[alpha]}"
+                    f"metric coefficient for root {alpha} must be positive and finite, got {c}"
                 )
 
 

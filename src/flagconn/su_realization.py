@@ -32,7 +32,7 @@ from .chevalley import (
     chevalley_constants,
     killing_gram,
 )
-from .connection import u_bilinear
+from .connection import _u_tensor
 from .errors import ConfigurationError, DomainError
 from .metric import MetricSpec
 from .oracle import CheckReport, DEFAULT_TOLERANCE, _report
@@ -323,12 +323,13 @@ def check_su_crosscheck(
 
     if n >= 2:
         coeffs = {simple_to_eps(n, a): spec.c(a) for a in rs.positive_roots}
+        closed_form = _u_tensor(sc, mb, spec)
         worst_u, wit_u = 0.0, None
         for i in range(mb.dim):
             ei = mb.basis_vector(i)
             for j in range(mb.dim):
                 ej = mb.basis_vector(j)
-                expected = al.transport(u_bilinear(sc, mb, spec, ei, ej))
+                expected = al.transport(closed_form[i, j])
                 got = u_sun(n, coeffs, al.transport(ei), al.transport(ej))
                 d = float(np.max(np.abs(expected - got)))
                 if d > worst_u:

@@ -208,7 +208,7 @@ def test_m_bracket_of_m_vectors_is_real(a3):
         project_m(a3.mb, bracket(a3.sc, x, y))  # raises if reality is broken
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("D", 4)])
 def test_m_bracket_table_matches_direct_brackets(family, rank):
     pl = pipeline(family, rank)
     table = m_bracket_table(pl.sc, pl.mb)

@@ -80,6 +80,23 @@ def test_missing_coefficient_is_a_config_error(tmp_path, capsys):
     assert "(1, 1)" in capsys.readouterr().err
 
 
+def test_infinite_coefficient_is_a_config_error(tmp_path, capsys):
+    coeffs = [
+        {"root": [0, 1], "c": 1.0},
+        {"root": [1, 0], "c": float("inf")},
+        {"root": [1, 1], "c": 3.0},
+    ]
+    cpath = tmp_path / "coeffs.json"
+    cpath.write_text(json.dumps(coeffs))
+    assert "Infinity" in cpath.read_text()
+    code, out = run_cli(
+        tmp_path, "--family", "A", "--rank", "2", "--coeffs", str(cpath), "--checks", "oracle"
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_family_rank_and_checks(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "--family", "B", "--rank", "1")
     assert code == EXIT_CONFIG_ERROR

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flagconn import (
+    DimensionError,
     DomainError,
     MetricSpec,
     assemble_tensor,
@@ -197,13 +198,13 @@ def test_u_bilinear_symmetry_and_bilinearity(b2):
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4)])
 def test_componentwise_route_matches_u_bilinear(family, rank):
-    """Summing U over all root-component pairs agrees with the grouped sums.
+    """Summing U over all root-component pairs agrees with u_bilinear.
 
-    This exercises the grouping of the componentwise expansion into
-    canonical-pair families: both routes must produce the same map.
+    u_bilinear weights the m-bracket table entry by entry; this route sums the
+    componentwise formula over every pair of root components instead, so both
+    must produce the same map.
     """
     from flagconn import LieElement
-    from flagconn.connection import _components
 
     pl = pipeline(family, rank)
     spec = random_metric(pl.rs, 47)
@@ -211,8 +212,8 @@ def test_componentwise_route_matches_u_bilinear(family, rank):
     for _ in range(4):
         x = random_mvector(pl.mb.dim, rng)
         y = random_mvector(pl.mb.dim, rng)
-        dx = _components(pl.mb, x)
-        dy = _components(pl.mb, y)
+        dx = pl.mb.to_lie(x).roots
+        dy = pl.mb.to_lie(y).roots
         total = LieElement.zero(pl.rs.rank)
         for gamma, xg in dx.items():
             for delta, yd in dy.items():
@@ -220,6 +221,17 @@ def test_componentwise_route_matches_u_bilinear(family, rank):
         componentwise = project_m(pl.mb, total)
         grouped = u_bilinear(pl.sc, pl.mb, spec, x, y)
         assert np.allclose(componentwise, grouped, atol=1e-12)
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_point_queries_reject_wrong_coordinate_length(a2, length):
+    spec = MetricSpec.from_values(a2.rs, A2_C123)
+    good, bad = np.ones(a2.mb.dim), np.ones(length)
+    for fn in (u_bilinear, nabla):
+        with pytest.raises(DimensionError):
+            fn(a2.sc, a2.mb, spec, bad, good)
+        with pytest.raises(DimensionError):
+            fn(a2.sc, a2.mb, spec, good, bad)
 
 
 def test_nabla_reduces_to_half_bracket_for_normal_metric(b2):

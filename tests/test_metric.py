@@ -71,6 +71,13 @@ def test_nonpositive_coefficient_rejected(a2):
         MetricSpec.from_values(a2.rs, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_coefficient_rejected(a2, bad):
+    spec = MetricSpec.from_values(a2.rs, [1.0, bad, 3.0])
+    with pytest.raises(ConfigurationError, match="finite"):
+        spec.validate(a2.rs)
+
+
 def test_inner_dimension_mismatch(a2):
     gram = build_metric(a2.rs, a2.killing, MetricSpec.normal(a2.rs))
     with pytest.raises(DimensionError):

@@ -90,6 +90,31 @@ def test_perturbation_negative_control(a2):
     assert failing.max_residual > 0.05
 
 
+def test_oracle_equivalence_negative_control(a3, monkeypatch):
+    import flagconn.oracle
+
+    spec = random_metric(a3.rs, 89)
+    closed_form = flagconn.oracle._u_tensor
+
+    def perturbed(entry, value):
+        def u_tensor(*args):
+            out = closed_form(*args)
+            out[entry] += value
+            return out
+        return u_tensor
+
+    monkeypatch.setattr(flagconn.oracle, "_u_tensor", perturbed((3, 7, 10), 1e-3))
+    report = check_oracle_equivalence(a3.rs, a3.sc, spec)
+    assert not report.passed
+    assert report.witness == (3, 7, 10)
+    assert report.max_residual == pytest.approx(1e-3, rel=1e-6)
+
+    monkeypatch.setattr(flagconn.oracle, "_u_tensor", perturbed((5, 0, 2), np.nan))
+    report = check_oracle_equivalence(a3.rs, a3.sc, spec)
+    assert not report.passed
+    assert report.witness == (5, 0, 2)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 3)])
 def test_lemma2_reports(family, rank):
     report = check_lemma2(pipeline(family, rank).rs)
