@@ -54,6 +54,14 @@ def _report(name: str, residual: float, threshold: float, witness) -> CheckRepor
     )
 
 
+def _residual_report(name: str, residual: np.ndarray, threshold: float) -> CheckReport:
+    """Largest residual; witness: first row-major maximum or NaN, None at zero."""
+    flat = int(np.argmax(residual))
+    worst = residual.flat[flat]
+    witness = None if worst == 0 else tuple(int(v) for v in np.unravel_index(flat, residual.shape))
+    return _report(name, worst, threshold, witness)
+
+
 def _oracle_tensor(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
     """U(e_i, e_j)_k solved from the defining condition, for all i, j, k.
 
@@ -91,10 +99,7 @@ def check_oracle_equivalence(
     mb = build_m_basis(rs)
     gram = build_metric(rs, killing_gram(rs, sc), spec)
     res = np.abs(_u_tensor(sc, mb, spec) - _oracle_tensor(sc, gram))
-    flat = int(np.argmax(res))  # the first maximum in row-major order, or the first NaN
-    worst = res.flat[flat]
-    witness = None if worst == 0 else tuple(int(v) for v in np.unravel_index(flat, res.shape))
-    return _report("oracle-equivalence", worst, tolerance, witness)
+    return _residual_report("oracle-equivalence", res, tolerance)
 
 
 def check_torsion(
@@ -105,8 +110,7 @@ def check_torsion(
     """gamma[i,j,:] - gamma[j,i,:] must equal the coordinates of [e_i, e_j]_m."""
     table = m_bracket_table(sc, tensor.mbasis)
     res = np.abs(tensor.gamma - tensor.gamma.transpose(1, 0, 2) - table)
-    witness = tuple(int(v) for v in np.unravel_index(np.argmax(res), res.shape))
-    return _report("torsion", float(res.max()), tolerance, witness)
+    return _residual_report("torsion", res, tolerance)
 
 
 def check_metric_compat(
@@ -117,8 +121,7 @@ def check_metric_compat(
     """g(nabla_{e_i} e_j, e_k) + g(e_j, nabla_{e_i} e_k) must vanish."""
     weighted = tensor.gamma * gram.diagonal[None, None, :]
     res = np.abs(weighted + weighted.transpose(0, 2, 1))
-    witness = tuple(int(v) for v in np.unravel_index(np.argmax(res), res.shape))
-    return _report("metric-compatibility", float(res.max()), tolerance, witness)
+    return _residual_report("metric-compatibility", res, tolerance)
 
 
 def check_lemma2(rs: RootSystem) -> CheckReport:

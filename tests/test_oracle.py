@@ -76,6 +76,17 @@ def test_levi_civita_axioms_a2(a2, metric):
     assert check_metric_compat(tensor, gram).passed
 
 
+def test_zero_residual_has_no_witness(a3):
+    # the normal metric gives exact-zero torsion and metric residuals on A3;
+    # a zero residual names no entry
+    spec = MetricSpec.normal(a3.rs)
+    tensor = assemble_tensor(a3.sc, a3.mb, spec)
+    gram = build_metric(a3.rs, a3.killing, spec)
+    for report in (check_torsion(tensor, a3.sc), check_metric_compat(tensor, gram)):
+        assert report.max_residual == 0.0
+        assert report.witness is None
+
+
 def test_perturbation_negative_control(a2):
     spec = MetricSpec.from_values(a2.rs, [1.0, 2.0, 3.0])
     gram = build_metric(a2.rs, a2.killing, spec)

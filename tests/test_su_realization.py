@@ -7,6 +7,7 @@ from flagconn import (
     ConfigurationError,
     DomainError,
     EpsRoot,
+    MetricSpec,
     build_alignment,
     check_su_crosscheck,
     eps_to_simple,
@@ -80,7 +81,8 @@ def test_eps_order_compatibility():
 def test_coordinate_round_trip():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3):
-        x = rng.normal(size=n * (n + 1))
+        x = rng.normal(size=(4, n * (n + 1)))
+        assert su_from_coords(n, x).shape == (4, n + 1, n + 1)
         assert np.allclose(su_to_coords(n, su_from_coords(n, x)), x)
 
 
@@ -109,11 +111,48 @@ def test_crosscheck_requires_family_a(b2):
         check_su_crosscheck(b2.rs, b2.sc, random_metric(b2.rs, 7))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_crosscheck_rejects_nonfinite_coefficient(a3, bad):
+    coeffs = dict(random_metric(a3.rs, 7).coeffs)
+    coeffs[a3.rs.positive_roots[2]] = bad
+    with pytest.raises(ConfigurationError):
+        check_su_crosscheck(a3.rs, a3.sc, MetricSpec(coeffs))
+
+
+def test_su_u_term_negative_control(a3, monkeypatch):
+    import flagconn.su_realization
+
+    spec = random_metric(a3.rs, 89)
+    closed_form = flagconn.su_realization._u_tensor
+
+    def perturbed(entry, value):
+        def u_tensor(*args):
+            out = closed_form(*args)
+            out[entry] += value
+            return out
+        return u_tensor
+
+    def su_u_term():
+        reports = check_su_crosscheck(a3.rs, a3.sc, spec)
+        return {r.check_name: r for r in reports}["su-u-term"]
+
+    monkeypatch.setattr(flagconn.su_realization, "_u_tensor", perturbed((3, 7, 10), 1e-3))
+    report = su_u_term()
+    assert not report.passed
+    assert report.witness == (3, 7)
+    assert report.max_residual == pytest.approx(1e-3, rel=1e-6)
+
+    monkeypatch.setattr(flagconn.su_realization, "_u_tensor", perturbed((3, 7, 10), np.nan))
+    report = su_u_term()
+    assert not report.passed
+    assert report.witness == (3, 7)
+
+
 def test_u_sun_vanishes_for_equal_coefficients():
     coeffs = {tuple(r): 2.0 for r in positive_eps_roots(2)}
     rng = np.random.default_rng(11)
     x, y = rng.normal(size=6), rng.normal(size=6)
-    assert np.allclose(u_sun(2, coeffs, x, y), 0.0, atol=1e-15)
+    assert np.all(u_sun(2, coeffs, x, y) == 0.0)
 
 
 def test_u_sun_rejects_small_n_and_bad_coefficients():
@@ -123,6 +162,23 @@ def test_u_sun_rejects_small_n_and_bad_coefficients():
         u_sun(2, {(1, 2): 1.0, (1, 3): 1.0}, np.zeros(6), np.zeros(6))
     with pytest.raises(ConfigurationError):
         u_sun(2, {(1, 2): 1.0, (1, 3): -1.0, (2, 3): 1.0}, np.zeros(6), np.zeros(6))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            u_sun(2, {(1, 2): 1.0, (1, 3): bad, (2, 3): 2.0}, np.zeros(6), np.zeros(6))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_u_sun_batched_equals_pairwise(n):
+    rng = np.random.default_rng(29)
+    coeffs = {tuple(r): c for r, c in
+              zip(positive_eps_roots(n), rng.uniform(0.5, 5.0, n * (n + 1) // 2))}
+    xs = rng.normal(size=(3, n * (n + 1)))
+    ys = rng.normal(size=(4, n * (n + 1)))
+    batched = u_sun(n, coeffs, xs[:, None], ys[None, :])
+    assert batched.shape == (3, 4, n * (n + 1))
+    for a in range(3):
+        for b in range(4):
+            assert np.array_equal(batched[a, b], u_sun(n, coeffs, xs[a], ys[b]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -150,6 +206,9 @@ def test_su3_coefficients_frozen_values():
     assert su3_coefficients(1.0, 1.0, 1.0) == (0.0, 0.0, 0.0)
     with pytest.raises(ConfigurationError):
         su3_coefficients(1.0, -2.0, 3.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            su3_coefficients(1.0, bad, 2.0)
 
 
 def test_u_su3_vanishes_for_equal_coefficients():
