@@ -165,11 +165,7 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
             assert val.denominator == 1
             table[(g, d)] = int(val)
 
-    n_coeff: dict[tuple[Coords, Coords], int] = {}
-    for a in rs.all_roots:
-        for b in rs.all_roots:
-            if (a, b) in rs.sum_table:
-                n_coeff[(a, b)] = resolve(a, b)
+    n_coeff = {(a, b): resolve(a, b) for (a, b) in rs.sum_table}
 
     coroot_table: dict[Coords, tuple[int, ...]] = {}
     norms = [rs.norm2(s) for s in rs.simple_roots]
@@ -247,9 +243,10 @@ class KillingForm:
         return out
 
 
-@functools.lru_cache(maxsize=None)
-def killing_gram(rs: RootSystem, sc: StructureConstants) -> KillingForm:
-    """Killing form from adjoint traces, exact in integer arithmetic."""
+def _adjoint(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.ndarray]:
+    """Full-basis labels in KillingForm order, their index, and the integer stack
+    ad[x, out, in], the coefficient of ``out`` in [x, in]. Not memoized: the
+    dense dim^3 stack lives only as long as its caller holds it."""
     labels: list[tuple] = [("H", i) for i in range(rs.rank)]
     labels += [("E", r) for r in rs.positive_roots]
     labels += [("E", negate(r)) for r in rs.positive_roots]
@@ -273,9 +270,15 @@ def killing_gram(rs: RootSystem, sc: StructureConstants) -> KillingForm:
                         ad[k, index[("H", i)], index[("E", r)]] = h
             for i in range(rs.rank):
                 ad[k, index[("E", a)], index[("H", i)]] = -sc.cartan_action(i, a)
+    return tuple(labels), index, ad
 
+
+@functools.lru_cache(maxsize=None)
+def killing_gram(rs: RootSystem, sc: StructureConstants) -> KillingForm:
+    """Killing form from adjoint traces, exact in integer arithmetic."""
+    labels, index, ad = _adjoint(rs, sc)
     gram = np.einsum("aij,bji->ab", ad, ad)
-    return KillingForm(rs=rs, labels=tuple(labels), index=index, gram=gram)
+    return KillingForm(rs=rs, labels=labels, index=index, gram=gram)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ class JobConfig:
     def validate(self) -> None:
         if self.format not in ("json", "csv"):
             raise ConfigurationError(f"unknown output format {self.format!r}")
-        if not self.tolerance > 0:
-            raise ConfigurationError("tolerance must be positive")
+        if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
+            raise ConfigurationError("tolerance must be positive and finite")
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigurationError(

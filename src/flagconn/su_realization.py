@@ -15,8 +15,9 @@ sum over index triples, with c the symmetric matrix of block coefficients:
     U(x, y)_pq = sum_r w[p, r, q] (x_pr y_rq + y_pr x_rq),
     w[p, r, q] = (c_rq - c_pr) / (2 c_pq).
 
-An explicit signed basis isomorphism is computed once; bracket tables,
-Killing forms and U on all basis pairs at once are compared through it.
+An explicit signed basis isomorphism phi is computed once; through it the
+cross-check compares the abstract adjoint stack and Killing gram with matrix
+commutators and 2(n+1) tr(xy) on all full-basis pairs, and U on all m pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .chevalley import (
     LieElement,
     MBasis,
     StructureConstants,
-    bracket,
+    _adjoint,
     build_m_basis,
     chevalley_constants,
     killing_gram,
@@ -39,7 +40,7 @@ from .chevalley import (
 from .connection import _u_tensor
 from .errors import ConfigurationError, DomainError
 from .metric import MetricSpec
-from .oracle import CheckReport, DEFAULT_TOLERANCE, _report, _residual_report
+from .oracle import CheckReport, DEFAULT_TOLERANCE, _residual_report
 from .rootsys import Coords, RootSystem, build_root_system, negate
 
 BRACKET_TOLERANCE = 1e-12
@@ -103,8 +104,8 @@ def su_m_basis(n: int) -> list[np.ndarray]:
 
 
 def su_killing(n: int, x: np.ndarray, y: np.ndarray) -> complex:
-    """Killing form of sl(n+1): 2(n+1) tr(xy)."""
-    return 2 * (n + 1) * np.trace(x @ y)
+    """Killing form of sl(n+1): 2(n+1) tr(xy), broadcast over leading axes."""
+    return 2 * (n + 1) * np.trace(x @ y, axis1=-2, axis2=-1)
 
 
 def m_component(x: np.ndarray, r: EpsRoot) -> np.ndarray:
@@ -248,9 +249,9 @@ def u_sun(n: int, coeffs, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     c = _validated_coeffs(n, coeffs)
     w = (c[None, :, :] - c[:, :, None]) / (2 * c[:, None, :])
     xm, ym = su_from_coords(n, x), su_from_coords(n, y)
-    # axes (..., p, r, q): x_pr on (..., p, r, None), y_rq on (..., None, r, q)
-    pairs = xm[..., :, :, None] * ym[..., None, :, :] + ym[..., :, :, None] * xm[..., None, :, :]
-    return su_to_coords(n, (w * pairs).sum(axis=-2))
+    out = np.einsum("prq,...pr,...rq->...pq", w, xm, ym)
+    out += np.einsum("prq,...pr,...rq->...pq", w, ym, xm)
+    return su_to_coords(n, out)
 
 
 def su3_coefficients(c1: float, c2: float, c3: float) -> tuple[float, float, float]:
@@ -284,39 +285,33 @@ def check_su_crosscheck(
     spec: MetricSpec,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[CheckReport]:
-    """Bracket-table, Killing-form and U agreement through the alignment."""
+    """Bracket-table, Killing-form and U agreement through the alignment. Bracket
+    and Killing witnesses are full-basis pairs (x, y), indexed like
+    ``killing_gram(rs, sc).labels``; U witnesses are m-basis pairs."""
     if rs.family != "A":
         raise ConfigurationError("the special unitary cross-check requires family A")
     spec.validate(rs)
     n = rs.rank
     al = build_alignment(n)
-    mb = al.mb
     kf = killing_gram(rs, sc)
-    elems = [mb.u_vec(a) if kind == "U" else mb.v_vec(a) for a, kind in mb.labels]
-    mats = [al.to_matrix(e) for e in elems]
-
-    worst_b, wit_b = 0.0, None
-    worst_k, wit_k = 0.0, None
-    for i in range(mb.dim):
-        for j in range(mb.dim):
-            lhs = al.to_matrix(bracket(sc, elems[i], elems[j]))
-            rhs = mats[i] @ mats[j] - mats[j] @ mats[i]
-            d = float(np.max(np.abs(lhs - rhs)))
-            if d > worst_b:
-                worst_b, wit_b = d, (i, j)
-            dk = abs(kf.value(elems[i], elems[j]) - su_killing(n, mats[i], mats[j]))
-            if dk > worst_k:
-                worst_k, wit_k = float(dk), (i, j)
-    reports = [
-        _report("su-bracket-tables", worst_b, BRACKET_TOLERANCE, wit_b),
-        _report("su-killing-form", worst_k, BRACKET_TOLERANCE, wit_k),
-    ]
+    _, _, ad = _adjoint(rs, sc)
+    phi = np.stack([
+        al.to_matrix(LieElement(n, np.eye(n)[lab[1]]) if lab[0] == "H"
+                     else LieElement.root_vector(n, lab[1]))
+        for lab in kf.labels
+    ])
+    lhs = np.tensordot(ad, phi, axes=(1, 0))  # phi([x, y]) = sum_o ad[x, o, y] phi[o]
+    rhs = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
+    brackets = np.abs(lhs - rhs).max(axis=(-2, -1))
+    killing = np.abs(kf.gram - su_killing(n, phi[:, None], phi[None, :]))
+    reports = [_residual_report("su-bracket-tables", brackets, BRACKET_TOLERANCE),
+               _residual_report("su-killing-form", killing, BRACKET_TOLERANCE)]
 
     if n >= 2:
         coeffs = {simple_to_eps(n, a): spec.c(a) for a in rs.positive_roots}
         e = np.diag(al.coord_signs)  # row i: the transported basis vector e_i
         got = u_sun(n, coeffs, e[:, None, :], e[None, :, :])
-        expected = _u_tensor(sc, mb, spec) * al.coord_signs
+        expected = _u_tensor(sc, al.mb, spec) * al.coord_signs
         residual = np.abs(expected - got).max(axis=-1)
         reports.append(_residual_report("su-u-term", residual, tolerance))
     return reports

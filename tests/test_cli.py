@@ -97,6 +97,22 @@ def test_infinite_coefficient_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infinite_tolerance_is_a_config_error(tmp_path, capsys):
+    args = ["--family", "A", "--rank", "2", "--coeffs", "normal", "--checks", "all"]
+    code, out = run_cli(tmp_path, *args, "--tolerance", "inf")
+    assert code == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+    cpath = tmp_path / "job.json"
+    cpath.write_text(json.dumps({"tolerance": float("inf")}))
+    assert "Infinity" in cpath.read_text()
+    code, out = run_cli(tmp_path, *args, "--config", str(cpath))
+    assert code == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_family_rank_and_checks(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "--family", "B", "--rank", "1")
     assert code == EXIT_CONFIG_ERROR

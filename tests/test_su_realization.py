@@ -1,5 +1,8 @@
 """The su(n+1) matrix model and its agreement with the abstract pipeline."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from flagconn import (
     u_su3,
     u_sun,
 )
+from flagconn.rootsys import add_roots, negate
 from flagconn.su_realization import positive_eps_roots, su_from_coords, su_to_coords
 from conftest import pipeline, random_metric, random_mvector
 
@@ -146,6 +150,61 @@ def test_su_u_term_negative_control(a3, monkeypatch):
     report = su_u_term()
     assert not report.passed
     assert report.witness == (3, 7)
+
+
+def _su_report(pl, spec, name):
+    return {r.check_name: r for r in check_su_crosscheck(pl.rs, pl.sc, spec)}[name]
+
+
+def test_su_bracket_tables_negative_control(a3, monkeypatch):
+    import flagconn.su_realization
+
+    a, b = a3.rs.simple_roots[:2]
+    index = a3.killing.index
+    x, o, y = index[("E", a)], index[("E", add_roots(a, b))], index[("E", b)]
+    adjoint = flagconn.su_realization._adjoint
+
+    def perturbed(rs, sc):
+        labels, idx, ad = adjoint(rs, sc)
+        assert ad[x, o, y] != 0
+        ad[x, o, y] += 1
+        return labels, idx, ad
+
+    monkeypatch.setattr(flagconn.su_realization, "_adjoint", perturbed)
+    report = _su_report(a3, random_metric(a3.rs, 89), "su-bracket-tables")
+    assert not report.passed
+    assert report.max_residual == 1.0
+    assert report.witness == (x, y)
+
+
+@pytest.mark.parametrize("delta", [1.0, np.nan])
+def test_su_killing_form_negative_control(a3, monkeypatch, delta):
+    import flagconn.su_realization
+
+    alpha = a3.rs.positive_roots[2]
+    x, y = a3.killing.index[("E", alpha)], a3.killing.index[("E", negate(alpha))]
+    gram = a3.killing.gram.astype(float)
+    gram[x, y] += delta
+    perturbed = dataclasses.replace(a3.killing, gram=gram)
+    monkeypatch.setattr(flagconn.su_realization, "killing_gram", lambda rs, sc: perturbed)
+    report = _su_report(a3, random_metric(a3.rs, 89), "su-killing-form")
+    assert not report.passed
+    assert report.witness == (x, y)
+
+
+def test_u_sun_all_pairs_memory_stays_below_one_index_triple_array():
+    n = 6
+    al = build_alignment(n)
+    coeffs = {tuple(r): 1.0 + k for k, r in enumerate(positive_eps_roots(n))}
+    e = np.diag(al.coord_signs)
+    triple_array_bytes = al.mb.dim ** 2 * (n + 1) ** 3 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        u_sun(n, coeffs, e[:, None, :], e[None, :, :])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < triple_array_bytes
 
 
 def test_u_sun_vanishes_for_equal_coefficients():
