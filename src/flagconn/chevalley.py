@@ -244,40 +244,37 @@ class KillingForm:
 
 
 def _adjoint(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.ndarray]:
-    """Full-basis labels in KillingForm order, their index, and the integer stack
-    ad[x, out, in], the coefficient of ``out`` in [x, in]. Not memoized: the
-    dense dim^3 stack lives only as long as its caller holds it."""
-    labels: list[tuple] = [("H", i) for i in range(rs.rank)]
-    labels += [("E", r) for r in rs.positive_roots]
-    labels += [("E", negate(r)) for r in rs.positive_roots]
+    """Full-basis labels in KillingForm order, their index, and the nonzero
+    entries of ad as one int64 array of columns (x, out, in, value): ``value``
+    is the coefficient of ``out`` in [x, in]. Root-root brackets are read off
+    ``rs.sum_table``; one pass over the roots adds [H_i, E_a], [E_a, H_i] and
+    [E_a, E_{-a}] = H_a. Not memoized."""
+    roots = list(rs.positive_roots) + [negate(r) for r in rs.positive_roots]
+    labels = [("H", i) for i in range(rs.rank)] + [("E", r) for r in roots]
     index = {lab: k for k, lab in enumerate(labels)}
-    dim = len(labels)
-
-    ad = np.zeros((dim, dim, dim), dtype=np.int64)
-    for k, lab in enumerate(labels):
-        if lab[0] == "H":
-            i = lab[1]
-            for r in rs.all_roots:
-                ad[k, index[("E", r)], index[("E", r)]] = sc.cartan_action(i, r)
-        else:
-            a = lab[1]
-            for r in rs.all_roots:
-                s = add_roots(a, r)
-                if s in rs.all_roots:
-                    ad[k, index[("E", s)], index[("E", r)]] = sc.n_coeff[(a, r)]
-                elif not any(s):
-                    for i, h in enumerate(sc.coroot(a)):
-                        ad[k, index[("H", i)], index[("E", r)]] = h
-            for i in range(rs.rank):
-                ad[k, index[("E", a)], index[("H", i)]] = -sc.cartan_action(i, a)
-    return tuple(labels), index, ad
+    e = {r: index[("E", r)] for r in roots}  # H_i sits at index i
+    rows = [(e[a], e[s], e[b], sc.n_coeff[(a, b)]) for (a, b), s in rs.sum_table.items()]
+    for a in roots:
+        for i, h in enumerate(sc.coroot(a)):
+            act = sc.cartan_action(i, a)
+            rows += [(i, e[a], e[a], act), (e[a], e[a], i, -act), (e[a], i, e[negate(a)], h)]
+    entries = np.array(rows, dtype=np.int64).T
+    return tuple(labels), index, entries[:, entries[3] != 0]
 
 
 @functools.lru_cache(maxsize=None)
 def killing_gram(rs: RootSystem, sc: StructureConstants) -> KillingForm:
-    """Killing form from adjoint traces, exact in integer arithmetic."""
-    labels, index, ad = _adjoint(rs, sc)
-    gram = np.einsum("aij,bji->ab", ad, ad)
+    """Killing form B(b_x, b_y) = sum over (o, i) of ad[x, o, i] ad[y, i, o], exact
+    in integers: each adjoint entry at slot (o, i) meets the entries at (i, o)."""
+    labels, index, entries = _adjoint(rs, sc)
+    at_slot: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for x, o, i, v in entries.T.tolist():
+        at_slot.setdefault((o, i), []).append((x, v))
+    rows, cols, products = np.array([(x, y, v * w) for (o, i), left in at_slot.items()
+                                     for y, w in at_slot.get((i, o), ()) for x, v in left],
+                                    dtype=np.int64).T
+    gram = np.zeros((len(labels),) * 2, dtype=np.int64)
+    np.add.at(gram, (rows, cols), products)
     return KillingForm(rs=rs, labels=labels, index=index, gram=gram)
 
 

@@ -172,13 +172,17 @@ def run_job(config: JobConfig) -> int:
     }
 
     out_path = config.output_path or f"connection.{config.format}"
-    if config.format == "json":
-        write_report(out_path, payload)
-    else:
-        write_tensor(out_path, payload["tensor"])
-        sidecar = dict(payload)
-        del sidecar["tensor"]
-        write_report(out_path + ".checks.json", sidecar)
+    try:
+        if config.format == "json":
+            write_report(out_path, payload)
+        else:
+            write_tensor(out_path, payload["tensor"])
+            sidecar = dict(payload)
+            del sidecar["tensor"]
+            write_report(out_path + ".checks.json", sidecar)
+    except OSError as exc:  # an unwritable output path is a configuration error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -224,6 +228,8 @@ def parse_config(argv=None) -> JobConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigurationError("a config file must hold a JSON object")
 
     def pick(flag_value, key, default):
         if flag_value is not None:
@@ -242,6 +248,8 @@ def parse_config(argv=None) -> JobConfig:
     checks_value = pick(args.checks, "checks", "")
     if isinstance(checks_value, str):
         checks_value = [c for c in checks_value.split(",") if c]
+    if not isinstance(checks_value, list):
+        raise ConfigurationError("checks must be a comma list or a list of check names")
     checks: list[str] = []
     for name in checks_value:
         if name == "all":
@@ -250,13 +258,19 @@ def parse_config(argv=None) -> JobConfig:
         else:
             checks.append(name)
 
+    def number(kind, value, key):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"{key} must be a number, got {value!r}") from None
+
     return JobConfig(
         family=str(family).upper(),
-        rank=int(rank),
+        rank=number(int, rank, "rank"),
         coefficients=coefficients,
         checks=tuple(dict.fromkeys(checks)),
-        tolerance=float(pick(args.tolerance, "tolerance", DEFAULT_TOLERANCE)),
-        seed=int(pick(args.seed, "seed", 0)),
+        tolerance=number(float, pick(args.tolerance, "tolerance", DEFAULT_TOLERANCE), "tolerance"),
+        seed=number(int, pick(args.seed, "seed", 0), "seed"),
         output_path=pick(args.output, "output", None),
         format=pick(args.format, "format", "json"),
     )
@@ -265,7 +279,7 @@ def parse_config(argv=None) -> JobConfig:
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-    except OSError as exc:
+    except (OSError, FlagConnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except json.JSONDecodeError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 from .chevalley import StructureConstants, build_m_basis, killing_gram, m_bracket_table
 from .connection import ConnectionTensor, _u_tensor
 from .metric import MetricGram, MetricSpec, build_metric
-from .rootsys import RootSystem, negate
+from .rootsys import RootSystem, abs_root, negate
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -136,12 +136,8 @@ def check_lemma2(rs: RootSystem) -> CheckReport:
         for b in rs.all_roots:
             if a == b or a == negate(b):
                 continue
-            count = 0
-            for a1, a2 in ((a, b), (b, a), (negate(a), negate(b)), (negate(b), negate(a))):
-                if rs.is_positive(a2):
-                    aa1 = a1 if rs.is_positive(a1) else negate(a1)
-                    if aa1 < a2:
-                        count += 1
+            count = sum(rs.is_positive(a2) and abs_root(rs, a1) < a2 for a1, a2 in
+                        ((a, b), (b, a), (negate(a), negate(b)), (negate(b), negate(a))))
             if abs(count - 1) > worst:
                 worst, witness = abs(count - 1), (a, b)
     return _report("lemma2-uniqueness", float(worst), 0.0, witness)

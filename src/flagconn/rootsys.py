@@ -10,7 +10,6 @@ so the standard positive-root counts act as an independent cross-check.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DimensionError, DomainError
@@ -97,13 +96,12 @@ class RootSystem:
         return self.norm_table[root]
 
 
-def _generate_positive(pairing, rank: int) -> set[Coords]:
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+def _generate_positive(pairing, simple: tuple[Coords, ...]) -> set[Coords]:
     positive: set[Coords] = set(simple)
     frontier = list(simple)
 
     def pair(v: Coords, i: int) -> int:
-        return sum(v[j] * pairing[j][i] for j in range(rank))
+        return sum(v[j] * pairing[j][i] for j in range(len(v)))
 
     while frontier:
         grown: list[Coords] = []
@@ -138,8 +136,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise ConfigurationError(f"family {fam} requires rank >= {_MIN_RANK[fam]}, got {rank}")
 
     pairing = _cartan_pairing(fam, rank)
-    positive = _generate_positive(pairing, rank)
-    pos_sorted = tuple(sorted(positive, key=functools.cmp_to_key(_lex_cmp)))
+    simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
+    positive = _generate_positive(pairing, simple)
+    pos_sorted = tuple(sorted(positive))  # tuple order is the lexicographic order
     all_roots = frozenset(positive) | {negate(r) for r in positive}
 
     norms = _simple_norms(fam, rank)
@@ -155,7 +154,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             if s in all_roots:
                 sum_table[(a, b)] = s
 
-    simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
     return RootSystem(
         family=fam,
         rank=rank,
@@ -168,13 +166,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     )
 
 
-def _lex_cmp(a: Coords, b: Coords) -> int:
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
 def lex_compare(rs: RootSystem, gamma: Coords, delta: Coords) -> int:
     """-1, 0 or 1 as gamma <, =, > delta in the lexicographic order.
 
@@ -185,7 +176,7 @@ def lex_compare(rs: RootSystem, gamma: Coords, delta: Coords) -> int:
         raise DimensionError(
             f"expected coordinate length {rs.rank}, got {len(gamma)} and {len(delta)}"
         )
-    return _lex_cmp(gamma, delta)
+    return (gamma > delta) - (gamma < delta)
 
 
 def abs_root(rs: RootSystem, gamma: Coords) -> Coords:

@@ -16,8 +16,9 @@ sum over index triples, with c the symmetric matrix of block coefficients:
     w[p, r, q] = (c_rq - c_pr) / (2 c_pq).
 
 An explicit signed basis isomorphism phi is computed once; through it the
-cross-check compares the abstract adjoint stack and Killing gram with matrix
-commutators and 2(n+1) tr(xy) on all full-basis pairs, and U on all m pairs.
+cross-check compares phi([x, y]) = sum_o ad[x, o, y] phi[o], scattered from
+the nonzero abstract adjoint entries, with matrix commutators and the Killing
+gram with 2(n+1) tr(xy) on all full-basis pairs, and U on all m pairs.
 """
 
 from __future__ import annotations
@@ -294,14 +295,15 @@ def check_su_crosscheck(
     n = rs.rank
     al = build_alignment(n)
     kf = killing_gram(rs, sc)
-    _, _, ad = _adjoint(rs, sc)
+    _, _, (x, o, y, v) = _adjoint(rs, sc)
     phi = np.stack([
         al.to_matrix(LieElement(n, np.eye(n)[lab[1]]) if lab[0] == "H"
                      else LieElement.root_vector(n, lab[1]))
         for lab in kf.labels
     ])
-    lhs = np.tensordot(ad, phi, axes=(1, 0))  # phi([x, y]) = sum_o ad[x, o, y] phi[o]
     rhs = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
+    lhs = np.zeros_like(rhs)
+    np.add.at(lhs, (x, y), v[:, None, None] * phi[o])  # phi([x, y]) = sum_o ad[x, o, y] phi[o]
     brackets = np.abs(lhs - rhs).max(axis=(-2, -1))
     killing = np.abs(kf.gram - su_killing(n, phi[:, None], phi[None, :]))
     reports = [_residual_report("su-bracket-tables", brackets, BRACKET_TOLERANCE),

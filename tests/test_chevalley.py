@@ -1,6 +1,7 @@
 """Structure constants, brackets, Killing form, and the m basis."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from flagconn import (
     LieElement,
     RepresentationError,
     bracket,
+    build_root_system,
+    chevalley_constants,
+    killing_gram,
     m_bracket_table,
     negate,
     project_m,
     project_root_space,
 )
-from flagconn.chevalley import root_string_p
-from conftest import pipeline
+from flagconn.chevalley import _adjoint, root_string_p
+from conftest import RANK_LE_4, pipeline
 
 
 def test_a2_simple_pair_constant_is_one(a2):
@@ -139,6 +143,49 @@ def test_killing_ad_invariance_exhaustive(family, rank):
     for x, y, z in itertools.product(elems, repeat=3):
         lhs = kf.value(bracket(pl.sc, x, y), z) + kf.value(y, bracket(pl.sc, x, z))
         assert lhs == 0
+
+
+@pytest.mark.parametrize("family,rank", RANK_LE_4)
+def test_adjoint_entries_and_killing_gram_match_dense_brackets(family, rank):
+    pl = pipeline(family, rank)
+    labels, index, entries = _adjoint(pl.rs, pl.sc)
+    assert labels == pl.killing.labels
+    basis = [LieElement(rank, np.eye(rank)[lab[1]]) if lab[0] == "H"
+             else LieElement.root_vector(rank, lab[1]) for lab in labels]
+    dense = np.zeros((len(labels),) * 3, dtype=complex)
+    for x, bx in enumerate(basis):
+        for i, bi in enumerate(basis):
+            z = bracket(pl.sc, bx, bi)
+            dense[x, :rank, i] = z.cartan
+            for r, c in z.roots.items():
+                dense[x, index[("E", r)], i] = c
+    ad = dense.real.astype(np.int64)
+    assert np.array_equal(ad, dense)
+
+    x, o, i, v = entries
+    assert entries.dtype == np.int64 and np.all(v != 0)
+    assert len(set(zip(x.tolist(), o.tolist(), i.tolist()))) == len(v)  # one entry per slot
+    scattered = np.zeros_like(ad)
+    scattered[x, o, i] = v
+    assert np.array_equal(scattered, ad)
+
+    gram = pl.killing.gram
+    assert gram.dtype == np.int64
+    assert np.array_equal(gram, np.einsum("aij,bji->ab", ad, ad))
+
+
+def test_killing_gram_memory_stays_below_one_dense_stack():
+    rs = build_root_system("A", 8)
+    sc = chevalley_constants(rs)
+    dim = rs.rank + len(rs.all_roots)
+    stack_bytes = dim ** 3 * np.dtype(np.int64).itemsize
+    tracemalloc.start()
+    try:
+        killing_gram.__wrapped__(rs, sc)  # uncached: builds the adjoint entries afresh
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
 
 
 def test_m_basis_order_and_shape(a2):

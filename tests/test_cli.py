@@ -122,6 +122,32 @@ def test_bad_family_rank_and_checks(tmp_path, capsys):
     assert code == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("fmt,config", [
+    ("json", None),
+    ("csv", None),
+    ("json", {"rank": "two"}),
+    ("json", {"tolerance": "tight"}),
+    ("json", {"checks": 5}),
+    ("json", [1, 2]),
+], ids=["json-unwritable", "csv-unwritable", "rank", "tolerance", "checks", "top-level-list"])
+def test_bad_outside_input_is_a_config_error(tmp_path, capsys, fmt, config):
+    args = ["--family", "A", "--coeffs", "normal", "--format", fmt]
+    if config is None:  # the output directory does not exist
+        out = tmp_path / "missing" / f"out.{fmt}"
+    else:
+        out = tmp_path / f"out.{fmt}"
+        cpath = tmp_path / "job.json"
+        cpath.write_text(json.dumps(config))
+        args += ["--config", str(cpath)]
+    if config is None or "rank" not in config:
+        args += ["--rank", "2"]
+    code = main(args + ["--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob("*") if p.name != "job.json"] == []
+
+
 def test_failing_check_yields_status_one(tmp_path):
     # an impossible tolerance forces the rounding residual above threshold
     coeffs = [

@@ -1,6 +1,7 @@
 """The brute-force U solver and the verification reports."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from flagconn import (
     check_metric_compat,
     check_oracle_equivalence,
     check_torsion,
+    negate,
     u_oracle,
 )
 from conftest import RANK_LE_4, pipeline, random_metric, random_mvector
@@ -131,6 +133,16 @@ def test_lemma2_reports(family, rank):
     report = check_lemma2(pipeline(family, rank).rs)
     assert report.passed
     assert report.max_residual == 0.0
+
+
+def test_lemma2_negative_control(a3):
+    # calling every vector positive makes two of the four candidates canonical
+    stub = types.SimpleNamespace(all_roots=a3.rs.all_roots, is_positive=lambda v: True)
+    report = check_lemma2(stub)
+    assert not report.passed
+    assert report.max_residual == 1.0
+    a, b = report.witness
+    assert a != b and a != negate(b)
 
 
 def test_report_invariant_passed_iff_within_threshold(a2):

@@ -165,10 +165,11 @@ def test_su_bracket_tables_negative_control(a3, monkeypatch):
     adjoint = flagconn.su_realization._adjoint
 
     def perturbed(rs, sc):
-        labels, idx, ad = adjoint(rs, sc)
-        assert ad[x, o, y] != 0
-        ad[x, o, y] += 1
-        return labels, idx, ad
+        labels, idx, entries = adjoint(rs, sc)
+        at_slot = (entries[0] == x) & (entries[1] == o) & (entries[2] == y)
+        assert at_slot.sum() == 1
+        entries[3, at_slot] += 1
+        return labels, idx, entries
 
     monkeypatch.setattr(flagconn.su_realization, "_adjoint", perturbed)
     report = _su_report(a3, random_metric(a3.rs, 89), "su-bracket-tables")
