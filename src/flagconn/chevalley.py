@@ -393,10 +393,13 @@ def m_bracket_entries(
     return i, j, k, t
 
 
+def _scatter(mb: MBasis, i, j, k, values) -> np.ndarray:
+    out = np.zeros((mb.dim,) * 3)
+    out[i, j, k] = values
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def m_bracket_table(sc: StructureConstants, mb: MBasis) -> np.ndarray:
     """Dense table T[i, j, :] = m coordinates of [e_i, e_j]_m."""
-    i, j, k, t = m_bracket_entries(sc, mb)
-    table = np.zeros((mb.dim,) * 3)
-    table[i, j, k] = t
-    return table
+    return _scatter(mb, *m_bracket_entries(sc, mb))

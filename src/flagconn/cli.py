@@ -55,6 +55,8 @@ class JobConfig:
     def validate(self) -> None:
         if self.format not in ("json", "csv"):
             raise ConfigurationError(f"unknown output format {self.format!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigurationError(f"output must be a file path, got {self.output_path!r}")
         if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
             raise ConfigurationError("tolerance must be positive and finite")
         for name in self.checks:

@@ -13,14 +13,16 @@ formula therefore weights the table entry by entry:
 
     U(e_i, e_j)_k = (c_|i| - c_|j|) / (2 c_|k|) * (-T[i, j, k]),
 
-where |i| is the positive root whose block holds e_i. A point query U(x, y)
-sums the weighted entries against x_i y_j; the dense tensor scatters them.
+where |i| is the positive root whose block holds e_i. The entries (i, j, k) of
+U and of gamma = T / 2 + U are computed once per metric, which is validated
+then; a point query sums them against x_i y_j, the dense tensor scatters them.
 The brute-force oracle module verifies the weights against the defining
 linear condition of U and shares only the bracket table with this module.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +31,12 @@ from .chevalley import (
     LieElement,
     MBasis,
     StructureConstants,
+    _scatter,
     m_bracket_entries,
-    m_bracket_table,
     project_m,
 )
 from .errors import DimensionError, DomainError
-from .metric import MetricSpec
+from .metric import MetricSpec, _coefficients
 from .rootsys import Coords, RootSystem, abs_root, add_roots, negate
 
 
@@ -125,21 +127,31 @@ def _coords(mb: MBasis, x) -> np.ndarray:
     return x
 
 
-def _u_entries(sc: StructureConstants, mb: MBasis, spec: MetricSpec):
-    """(i, j, k, U(e_i, e_j)_k) on the nonzero entries of the m-bracket table."""
+@functools.lru_cache(maxsize=1, typed=True)  # typed: 3 + 0j must miss a cached 3.0
+def _gamma_entries(sc: StructureConstants, mb: MBasis, *values):
+    """(i, j, k, u = U(e_i, e_j)_k, gamma = T[i, j, k] / 2 + u) on the m-bracket entries."""
     i, j, k, t = m_bracket_entries(sc, mb)
-    c = np.repeat([spec.c(a) for a in sc.rs.positive_roots], 2)
+    c = np.repeat(_coefficients(sc.rs, values), 2)
     # U(e_i, e_j) = (c_i - c_j) / (2 c_k) [e_j, e_i]_m, and [e_j, e_i]_m = -T[i, j];
     # the difference comes first so that equal coefficients give exactly zero
-    return i, j, k, (c[i] - c[j]) / (2.0 * c[k]) * -t
+    u = (c[i] - c[j]) / (2.0 * c[k]) * -t
+    gamma = 0.5 * t + u
+    u.flags.writeable = gamma.flags.writeable = False  # shared through the cache
+    return i, j, k, u, gamma
+
+
+def _entries(sc: StructureConstants, mb: MBasis, spec: MetricSpec):
+    values = tuple(map(spec.coeffs.get, sc.rs.positive_roots))
+    try:
+        return _gamma_entries(sc, mb, *values)
+    except TypeError:  # an unhashable value is no real number: the check raises
+        return _coefficients(sc.rs, values)
 
 
 def _u_tensor(sc: StructureConstants, mb: MBasis, spec: MetricSpec) -> np.ndarray:
     """Dense closed-form U[i, j, k] = U(e_i, e_j)_k over all basis pairs."""
-    i, j, k, u = _u_entries(sc, mb, spec)
-    out = np.zeros((mb.dim,) * 3)
-    out[i, j, k] = u
-    return out
+    i, j, k, u, _ = _entries(sc, mb, spec)
+    return _scatter(mb, i, j, k, u)
 
 
 def u_bilinear(
@@ -150,7 +162,7 @@ def u_bilinear(
     y: np.ndarray,
 ) -> np.ndarray:
     """The symmetric term U(x, y) over the m basis, summed over the table entries."""
-    i, j, k, u = _u_entries(sc, mb, spec)
+    i, j, k, u, _ = _entries(sc, mb, spec)
     x, y = _coords(mb, x), _coords(mb, y)
     return np.bincount(k, weights=u * x[i] * y[j], minlength=mb.dim)
 
@@ -163,14 +175,12 @@ def nabla(
     y: np.ndarray,
 ) -> np.ndarray:
     """Covariant derivative nabla_x y at the base point, in m coordinates."""
-    i, j, k, t = m_bracket_entries(sc, mb)
+    i, j, k, _, gamma = _entries(sc, mb, spec)
     x, y = _coords(mb, x), _coords(mb, y)
-    half = 0.5 * np.bincount(k, weights=t * x[i] * y[j], minlength=mb.dim)
-    return half + u_bilinear(sc, mb, spec, x, y)
+    return np.bincount(k, weights=gamma * x[i] * y[j], minlength=mb.dim)
 
 
 def assemble_tensor(sc: StructureConstants, mb: MBasis, spec: MetricSpec) -> ConnectionTensor:
     """Materialize nabla over all basis pairs as a dense 3-index array."""
-    spec.validate(sc.rs)
-    gamma = 0.5 * m_bracket_table(sc, mb) + _u_tensor(sc, mb, spec)
-    return ConnectionTensor(mbasis=mb, gamma=gamma)
+    i, j, k, _, gamma = _entries(sc, mb, spec)
+    return ConnectionTensor(mbasis=mb, gamma=_scatter(mb, i, j, k, gamma))

@@ -8,6 +8,7 @@ form; no generality is lost.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,17 @@ import numpy as np
 from .chevalley import KillingForm, build_m_basis
 from .errors import ConfigurationError, DimensionError
 from .rootsys import Coords, RootSystem
+
+
+def _coefficients(rs: RootSystem, values: tuple) -> np.ndarray:
+    """``values`` (rs.positive_roots order, None if missing) checked real, positive, finite."""
+    c = np.array([v if isinstance(v, numbers.Real) else np.nan for v in values], dtype=float)
+    for alpha, v, ok in zip(rs.positive_roots, values, (c > 0) & np.isfinite(c)):
+        if not ok:
+            raise ConfigurationError(
+                f"missing metric coefficient for root {alpha}" if v is None else
+                f"metric coefficient for root {alpha} must be positive and finite, got {v!r}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -42,14 +54,7 @@ class MetricSpec:
         return self.coeffs[alpha]
 
     def validate(self, rs: RootSystem) -> None:
-        for alpha in rs.positive_roots:
-            if alpha not in self.coeffs:
-                raise ConfigurationError(f"missing metric coefficient for root {alpha}")
-            c = self.coeffs[alpha]
-            if not (c > 0 and np.isfinite(c)):
-                raise ConfigurationError(
-                    f"metric coefficient for root {alpha} must be positive and finite, got {c}"
-                )
+        _coefficients(rs, tuple(map(self.coeffs.get, rs.positive_roots)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +67,10 @@ class MetricGram:
 
 def build_metric(rs: RootSystem, killing: KillingForm, spec: MetricSpec) -> MetricGram:
     """Gram matrix with entry c_a * (-B)(e, e) at each basis slot of m^a."""
-    spec.validate(rs)
-    mb = build_m_basis(rs)
-    diag = np.zeros(mb.dim)
-    for k, alpha in enumerate(rs.positive_roots):
-        # (-B)(U_a, U_a) = (-B)(V_a, V_a) = 2 B(E_a, E_{-a})
-        block = 2.0 * killing.e_pair(alpha)
-        diag[2 * k] = diag[2 * k + 1] = spec.c(alpha) * block
-    return MetricGram(mbasis=mb, diagonal=diag)
+    c = _coefficients(rs, tuple(map(spec.coeffs.get, rs.positive_roots)))
+    # (-B)(U_a, U_a) = (-B)(V_a, V_a) = 2 B(E_a, E_{-a}); E_{-a} sits |roots+| after E_a
+    block = 2.0 * np.diagonal(killing.gram, len(c))[rs.rank:]
+    return MetricGram(mbasis=build_m_basis(rs), diagonal=np.repeat(c * block, 2))
 
 
 def inner(gram: MetricGram, x: np.ndarray, y: np.ndarray) -> float:

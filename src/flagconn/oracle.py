@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chevalley import StructureConstants, build_m_basis, killing_gram, m_bracket_table
+from .chevalley import StructureConstants, killing_gram, m_bracket_table
 from .connection import ConnectionTensor, _u_tensor
 from .metric import MetricGram, MetricSpec, build_metric
 from .rootsys import RootSystem, abs_root, negate
@@ -96,9 +96,8 @@ def check_oracle_equivalence(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
     """Compare the closed-form U with the oracle over all basis pairs."""
-    mb = build_m_basis(rs)
     gram = build_metric(rs, killing_gram(rs, sc), spec)
-    res = np.abs(_u_tensor(sc, mb, spec) - _oracle_tensor(sc, gram))
+    res = np.abs(_u_tensor(sc, gram.mbasis, spec) - _oracle_tensor(sc, gram))
     return _residual_report("oracle-equivalence", res, tolerance)
 
 

@@ -129,7 +129,10 @@ def test_bad_family_rank_and_checks(tmp_path, capsys):
     ("json", {"tolerance": "tight"}),
     ("json", {"checks": 5}),
     ("json", [1, 2]),
-], ids=["json-unwritable", "csv-unwritable", "rank", "tolerance", "checks", "top-level-list"])
+    ("json", {"output": True}),
+    ("json", {"output": 3}),
+], ids=["json-unwritable", "csv-unwritable", "rank", "tolerance", "checks", "top-level-list",
+        "output-bool", "output-int"])
 def test_bad_outside_input_is_a_config_error(tmp_path, capsys, fmt, config):
     args = ["--family", "A", "--coeffs", "normal", "--format", fmt]
     if config is None:  # the output directory does not exist
@@ -141,7 +144,9 @@ def test_bad_outside_input_is_a_config_error(tmp_path, capsys, fmt, config):
         args += ["--config", str(cpath)]
     if config is None or "rank" not in config:
         args += ["--rank", "2"]
-    code = main(args + ["--output", str(out)])
+    if not (isinstance(config, dict) and "output" in config):
+        args += ["--output", str(out)]
+    code = main(args)
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG_ERROR
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,9 +1,13 @@
 """Canonical pairs, the closed-form U, and tensor assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import flagconn.connection
 from flagconn import (
+    ConfigurationError,
     DimensionError,
     DomainError,
     MetricSpec,
@@ -20,7 +24,7 @@ from flagconn import (
     u_root_pair,
     z_term,
 )
-from conftest import pipeline, random_metric, random_mvector
+from conftest import RANK_LE_4, pipeline, random_metric, random_mvector
 
 A2_C123 = [1.0, 2.0, 3.0]  # keyed by lex-ascending positive roots: a2, a1, a1+a2
 
@@ -297,3 +301,103 @@ def test_tensor_matches_oracle_assembly_a2(a2):
             )
             assert np.allclose(tensor.gamma[i, j], expected, atol=1e-9)
     assert np.all(np.isfinite(tensor.gamma))
+
+
+@pytest.mark.parametrize("bad", ["missing", 0.0, -1.0, np.nan, np.inf, "2.0", 2j, 3 + 0j, None,
+                                 [2.0]],
+                         ids=["missing", "zero", "negative", "nan", "inf", "string",
+                              "complex", "complex-equal-to-cached", "none", "list"])
+def test_point_queries_validate_the_metric(a2, bad):
+    # the valid metric A2_C123 is in the memo first, so a value that compares
+    # equal to its cached one (3 + 0j == 3.0) must not be taken for it
+    coeffs = dict(zip(a2.rs.positive_roots, A2_C123))
+    nabla(a2.sc, a2.mb, MetricSpec(dict(coeffs)), np.ones(a2.mb.dim), np.ones(a2.mb.dim))
+    if bad == "missing":
+        del coeffs[(1, 1)]
+    else:
+        coeffs[(1, 1)] = bad
+    spec = MetricSpec(coeffs)
+    x = np.ones(a2.mb.dim)
+    for fn in (u_bilinear, nabla):
+        with pytest.raises(ConfigurationError, match=r"\(1, 1\)"):
+            fn(a2.sc, a2.mb, spec, x, x)
+    with pytest.raises(ConfigurationError, match=r"\(1, 1\)"):
+        assemble_tensor(a2.sc, a2.mb, spec)
+
+
+def test_metric_mutated_in_place_is_a_new_metric(b2):
+    spec = random_metric(b2.rs, 101)
+    rng = np.random.default_rng(103)
+    x, y = random_mvector(b2.mb.dim, rng), random_mvector(b2.mb.dim, rng)
+    before = nabla(b2.sc, b2.mb, spec, x, y)
+    spec.coeffs[b2.rs.positive_roots[0]] *= 3.0
+    after = nabla(b2.sc, b2.mb, spec, x, y)
+    fresh = MetricSpec(dict(spec.coeffs))
+    assert np.array_equal(after, nabla(b2.sc, b2.mb, fresh, x, y))
+    assert not np.array_equal(after, before)
+
+
+def test_alternating_metrics_repeat_their_results(b2):
+    specs = [random_metric(b2.rs, 107), random_metric(b2.rs, 109)]
+    rng = np.random.default_rng(113)
+    x, y = random_mvector(b2.mb.dim, rng), random_mvector(b2.mb.dim, rng)
+
+    def results(spec):
+        return (nabla(b2.sc, b2.mb, spec, x, y), u_bilinear(b2.sc, b2.mb, spec, x, y),
+                assemble_tensor(b2.sc, b2.mb, spec).gamma)
+
+    first = [results(spec) for spec in specs]
+    for _ in range(2):
+        for spec, expected in zip(specs, first):
+            for got, want in zip(results(spec), expected):
+                assert np.array_equal(got, want)
+
+
+def test_cached_entries_are_read_only(b2):
+    entries = flagconn.connection._entries(b2.sc, b2.mb, random_metric(b2.rs, 127))
+    assert len(entries) == 5  # i, j, k, u, gamma
+    for a in entries:
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def _block_vector(mb, rng):
+    """Random coordinates on one to three root blocks, zero elsewhere."""
+    x = np.zeros(mb.dim)
+    for p in rng.choice(mb.dim // 2, size=min(rng.integers(1, 4), mb.dim // 2), replace=False):
+        x[2 * p:2 * p + 2] = rng.normal(size=2)
+    return x
+
+
+@pytest.mark.parametrize("family,rank", RANK_LE_4 + [("A", 6)])
+def test_fused_nabla_matches_half_bracket_plus_u(family, rank):
+    pl = pipeline(family, rank)
+    spec = random_metric(pl.rs, 131)
+    gram = build_metric(pl.rs, pl.killing, spec)
+    table = m_bracket_table(pl.sc, pl.mb)
+    rng = np.random.default_rng(137)
+    for kind in ("dense", "dense", "blocks", "blocks", "blocks"):
+        if kind == "dense":
+            x, y = random_mvector(pl.mb.dim, rng), random_mvector(pl.mb.dim, rng)
+        else:
+            x, y = _block_vector(pl.mb, rng), _block_vector(pl.mb, rng)
+        got = nabla(pl.sc, pl.mb, spec, x, y)
+        half = 0.5 * np.einsum("ijk,i,j->k", table, x, y)
+        for u in (u_oracle(pl.rs, pl.sc, gram, x, y), u_bilinear(pl.sc, pl.mb, spec, x, y)):
+            expected = half + u
+            scale = max(np.abs(expected).max(), np.abs(x).max() * np.abs(y).max())
+            assert np.abs(got - expected).max() <= 1e-12 * scale, (kind, family, rank)
+
+
+def test_assemble_tensor_memory_stays_below_one_and_a_half_dense_arrays():
+    pl = pipeline("A", 10)
+    flagconn.connection.m_bracket_entries(pl.sc, pl.mb)  # per-system, metric-independent
+    spec = random_metric(pl.rs, 139)  # a new metric: its entries are computed in the trace
+    dense_bytes = 8 * pl.mb.dim ** 3
+    tracemalloc.start()
+    try:
+        assemble_tensor(pl.sc, pl.mb, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * dense_bytes

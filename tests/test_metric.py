@@ -10,7 +10,7 @@ from flagconn import (
     build_metric,
     inner,
 )
-from conftest import random_mvector
+from conftest import RANK_LE_4, pipeline, random_metric, random_mvector
 
 
 def test_normal_metric_is_minus_killing(a2):
@@ -82,3 +82,13 @@ def test_inner_dimension_mismatch(a2):
     gram = build_metric(a2.rs, a2.killing, MetricSpec.normal(a2.rs))
     with pytest.raises(DimensionError):
         inner(gram, np.zeros(4), np.zeros(a2.mb.dim))
+
+
+@pytest.mark.parametrize("family,rank", RANK_LE_4 + [("A", 6)])
+def test_diagonal_equals_per_root_killing_construction(family, rank):
+    pl = pipeline(family, rank)
+    for spec in (MetricSpec.normal(pl.rs), random_metric(pl.rs, 7)):
+        expected = np.zeros(pl.mb.dim)
+        for k, alpha in enumerate(pl.rs.positive_roots):
+            expected[2 * k] = expected[2 * k + 1] = spec.c(alpha) * (2.0 * pl.killing.e_pair(alpha))
+        assert np.array_equal(build_metric(pl.rs, pl.killing, spec).diagonal, expected)
