@@ -399,7 +399,7 @@ def _scatter(mb: MBasis, i, j, k, values) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def m_bracket_table(sc: StructureConstants, mb: MBasis) -> np.ndarray:
-    """Dense table T[i, j, :] = m coordinates of [e_i, e_j]_m."""
+    """Dense table T[i, j, :] = m coordinates of [e_i, e_j]_m, scattered from
+    m_bracket_entries on each call; no pipeline stage reads it."""
     return _scatter(mb, *m_bracket_entries(sc, mb))

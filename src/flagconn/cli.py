@@ -93,11 +93,10 @@ def metric_spec_from_config(rs, coefficients) -> MetricSpec:
 
 def tensor_triples(tensor: ConnectionTensor, threshold: float = SPARSE_THRESHOLD) -> list[dict]:
     """Sparse listing of tensor entries above the magnitude threshold."""
-    out = []
     gamma = tensor.gamma
-    for i, j, k in zip(*np.nonzero(np.abs(gamma) > threshold)):
-        out.append({"i": int(i), "j": int(j), "k": int(k), "value": float(gamma[i, j, k])})
-    return out
+    index = np.nonzero(np.abs(gamma) > threshold)
+    return [{"i": i, "j": j, "k": k, "value": v}
+            for i, j, k, v in zip(*(a.tolist() for a in index), gamma[index].tolist())]
 
 
 def write_report(path: str, payload: dict) -> None:

@@ -17,7 +17,7 @@ where |i| is the positive root whose block holds e_i. The entries (i, j, k) of
 U and of gamma = T / 2 + U are computed once per metric, which is validated
 then; a point query sums them against x_i y_j, the dense tensor scatters them.
 The brute-force oracle module verifies the weights against the defining
-linear condition of U and shares only the bracket table with this module.
+linear condition of U and shares only the bracket entries with this module.
 """
 
 from __future__ import annotations

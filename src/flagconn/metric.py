@@ -20,12 +20,15 @@ from .rootsys import Coords, RootSystem
 
 def _coefficients(rs: RootSystem, values: tuple) -> np.ndarray:
     """``values`` (rs.positive_roots order, None if missing) checked real, positive, finite."""
-    c = np.array([v if isinstance(v, numbers.Real) else np.nan for v in values], dtype=float)
-    for alpha, v, ok in zip(rs.positive_roots, values, (c > 0) & np.isfinite(c)):
-        if not ok:
-            raise ConfigurationError(
-                f"missing metric coefficient for root {alpha}" if v is None else
-                f"metric coefficient for root {alpha} must be positive and finite, got {v!r}")
+    c = np.array([v if type(v) is float or isinstance(v, numbers.Real) else np.nan
+                  for v in values], dtype=float)
+    ok = (c > 0) & np.isfinite(c)
+    if not ok.all():
+        bad = int(np.argmin(ok))  # the first failing root
+        alpha, v = rs.positive_roots[bad], values[bad]
+        raise ConfigurationError(
+            f"missing metric coefficient for root {alpha}" if v is None else
+            f"metric coefficient for root {alpha} must be positive and finite, got {v!r}")
     return c
 
 

@@ -5,7 +5,7 @@ The oracle solves the defining linear condition
     2 g(U(X, Y), Z) = g(X, [Z, Y]_m) + g([Z, X]_m, Y)   for all Z in m
 
 coordinate by coordinate, which is immediate because the Gram matrix is
-diagonal on the m basis. It shares only the m-bracket table with the
+diagonal on the m basis. It shares only the m-bracket entries with the
 closed form and never its weights, so agreement between the two is a
 genuine check of the closed form.
 """
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chevalley import StructureConstants, killing_gram, m_bracket_table
-from .connection import ConnectionTensor, _u_tensor
+from .chevalley import StructureConstants, _scatter, killing_gram, m_bracket_entries
+from .connection import ConnectionTensor, _coords, _u_tensor
 from .metric import MetricGram, MetricSpec, build_metric
 from .rootsys import RootSystem, abs_root, negate
 
@@ -66,12 +66,14 @@ def _oracle_tensor(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
     """U(e_i, e_j)_k solved from the defining condition, for all i, j, k.
 
     Coordinate k of U(e_i, e_j) is (g(e_i, [e_k, e_j]_m) + g([e_k, e_i]_m, e_j))
-    / (2 diag_k), that is (T[k, j, i] diag_i + T[k, i, j] diag_j) / (2 diag_k).
+    / (2 diag_k), that is (T[k, j, i] diag_i + T[k, i, j] diag_j) / (2 diag_k):
+    each entry T[i, j, k] = t lands at (k, j, i) and (j, k, i) with t diag_k.
     """
-    table = m_bracket_table(sc, gram.mbasis)
+    i, j, k, t = m_bracket_entries(sc, gram.mbasis)
     d = gram.diagonal
-    u = table.transpose(2, 1, 0) * d[:, None, None]
-    u += table.transpose(1, 2, 0) * d[None, :, None]
+    td = t * d[k]
+    u = _scatter(gram.mbasis, k, j, i, td)
+    u[j, k, i] += td  # keys are unique within one entry list
     u /= 2.0 * d
     return u
 
@@ -84,8 +86,7 @@ def u_oracle(
     y: np.ndarray,
 ) -> np.ndarray:
     """U(x, y) solved directly from the defining condition."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _coords(gram.mbasis, x), _coords(gram.mbasis, y)
     return np.einsum("ijk,i,j->k", _oracle_tensor(sc, gram), x, y)
 
 
@@ -97,8 +98,9 @@ def check_oracle_equivalence(
 ) -> CheckReport:
     """Compare the closed-form U with the oracle over all basis pairs."""
     gram = build_metric(rs, killing_gram(rs, sc), spec)
-    res = np.abs(_u_tensor(sc, gram.mbasis, spec) - _oracle_tensor(sc, gram))
-    return _residual_report("oracle-equivalence", res, tolerance)
+    res = _u_tensor(sc, gram.mbasis, spec)
+    res -= _oracle_tensor(sc, gram)
+    return _residual_report("oracle-equivalence", np.abs(res, out=res), tolerance)
 
 
 def check_torsion(
@@ -107,9 +109,10 @@ def check_torsion(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
     """gamma[i,j,:] - gamma[j,i,:] must equal the coordinates of [e_i, e_j]_m."""
-    table = m_bracket_table(sc, tensor.mbasis)
-    res = np.abs(tensor.gamma - tensor.gamma.transpose(1, 0, 2) - table)
-    return _residual_report("torsion", res, tolerance)
+    i, j, k, t = m_bracket_entries(sc, tensor.mbasis)
+    res = np.subtract(tensor.gamma, tensor.gamma.transpose(1, 0, 2), dtype=float)
+    res[i, j, k] -= t
+    return _residual_report("torsion", np.abs(res, out=res), tolerance)
 
 
 def check_metric_compat(
@@ -119,8 +122,8 @@ def check_metric_compat(
 ) -> CheckReport:
     """g(nabla_{e_i} e_j, e_k) + g(e_j, nabla_{e_i} e_k) must vanish."""
     weighted = tensor.gamma * gram.diagonal[None, None, :]
-    res = np.abs(weighted + weighted.transpose(0, 2, 1))
-    return _residual_report("metric-compatibility", res, tolerance)
+    res = weighted + weighted.transpose(0, 2, 1)
+    return _residual_report("metric-compatibility", np.abs(res, out=res), tolerance)
 
 
 def check_lemma2(rs: RootSystem) -> CheckReport:

@@ -83,9 +83,6 @@ class RootSystem:
                 return c > 0
         return False
 
-    def contains(self, v: Coords) -> bool:
-        return v in self.all_roots
-
     def pairing(self, v: Coords, i: int) -> int:
         """<v, alpha_i^vee> for a lattice vector v."""
         col = self.pairing_matrix

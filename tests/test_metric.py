@@ -71,6 +71,16 @@ def test_nonpositive_coefficient_rejected(a2):
         MetricSpec.from_values(a2.rs, [1.0, 2.0])
 
 
+def test_first_bad_coefficient_is_named(a2):
+    # (0, 1) precedes (1, 0) and (1, 1) in positive_roots order
+    spec = MetricSpec({(0, 1): None, (1, 0): -1.0, (1, 1): "x"})
+    with pytest.raises(ConfigurationError, match=r"missing metric coefficient for root \(0, 1\)"):
+        spec.validate(a2.rs)
+    spec = MetricSpec({(0, 1): 1.0, (1, 0): -1.0, (1, 1): "x"})
+    with pytest.raises(ConfigurationError, match=r"root \(1, 0\) must be positive and finite, got -1.0"):
+        spec.validate(a2.rs)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_nonfinite_coefficient_rejected(a2, bad):
     spec = MetricSpec.from_values(a2.rs, [1.0, bad, 3.0])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from flagconn import (
+    ConnectionTensor,
+    DimensionError,
     MetricSpec,
     assemble_tensor,
     build_metric,
@@ -46,6 +48,16 @@ def test_oracle_symmetry(b2):
             u_oracle(b2.rs, b2.sc, gram, y, x),
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_u_oracle_rejects_wrong_coordinate_length(a2, delta):
+    gram = build_metric(a2.rs, a2.killing, MetricSpec.from_values(a2.rs, [1.0, 2.0, 3.0]))
+    good, bad = np.ones(a2.mb.dim), np.ones(a2.mb.dim + delta)
+    with pytest.raises(DimensionError):
+        u_oracle(a2.rs, a2.sc, gram, bad, good)
+    with pytest.raises(DimensionError):
+        u_oracle(a2.rs, a2.sc, gram, good, bad)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])
@@ -101,6 +113,13 @@ def test_perturbation_negative_control(a2):
     failing = torsion if not torsion.passed else compat
     assert failing.witness is not None
     assert failing.max_residual > 0.05
+
+
+def test_torsion_of_an_integer_tensor(a2):
+    # the zero tensor misses the whole bracket: the residual is its largest entry
+    report = check_torsion(ConnectionTensor(a2.mb, np.zeros((a2.mb.dim,) * 3, dtype=int)), a2.sc)
+    assert not report.passed
+    assert report.max_residual == 1.0
 
 
 def test_oracle_equivalence_negative_control(a3, monkeypatch):
