@@ -2,9 +2,9 @@
 
 Structure constants are exact integers with |N(a, b)| = p + 1 (p the down
 string length), signs fixed by making N positive on extraspecial pairs with
-respect to the lexicographic order. The Killing form is computed from
-adjoint traces rather than closed-form tables, so it doubles as a
-self-check. Real tangent vectors live in the span of
+respect to the lexicographic order. One cached adjoint table per system feeds
+the m-bracket entries, the su(n+1) check and the Killing form, whose traces
+double as a self-check. Real tangent vectors live in the span of
 
     U_a = E_a - E_{-a},    V_a = i (E_a + E_{-a}),    a positive,
 
@@ -243,12 +243,12 @@ class KillingForm:
         return out
 
 
+@functools.lru_cache(maxsize=None)
 def _adjoint(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.ndarray]:
-    """Full-basis labels in KillingForm order, their index, and the nonzero
-    entries of ad as one int64 array of columns (x, out, in, value): ``value``
-    is the coefficient of ``out`` in [x, in]. Root-root brackets are read off
-    ``rs.sum_table``; one pass over the roots adds [H_i, E_a], [E_a, H_i] and
-    [E_a, E_{-a}] = H_a. Not memoized."""
+    """Full-basis labels in KillingForm order, their index, and the nonzero entries
+    of ad as one read-only int64 array of columns (x, out, in, value): ``value`` is
+    the coefficient of ``out`` in [x, in]. Root-root brackets come first, in
+    ``rs.sum_table`` order; then [H_i, E_a], [E_a, H_i] and [E_a, E_{-a}] = H_a."""
     roots = list(rs.positive_roots) + [negate(r) for r in rs.positive_roots]
     labels = [("H", i) for i in range(rs.rank)] + [("E", r) for r in roots]
     index = {lab: k for k, lab in enumerate(labels)}
@@ -258,8 +258,9 @@ def _adjoint(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.nd
         for i, h in enumerate(sc.coroot(a)):
             act = sc.cartan_action(i, a)
             rows += [(i, e[a], e[a], act), (e[a], e[a], i, -act), (e[a], i, e[negate(a)], h)]
-    entries = np.array(rows, dtype=np.int64).T
-    return tuple(labels), index, entries[:, entries[3] != 0]
+    entries = np.array([row for row in rows if row[3]], dtype=np.int64).T
+    entries.flags.writeable = False  # shared through the cache
+    return tuple(labels), index, entries
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,22 +369,22 @@ def m_bracket_entries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero entries T[i, j, k] = t of the m-bracket, as arrays (i, j, k, t).
 
-    Read off the root triples: a pair (g, d) with g + d = s a positive root
-    brackets the E_g, E_d parts of e_i, e_j into N(g, d) E_s. E_g has
-    coefficient sign(g) in U_|g| and i in V_|g|, and the real and imaginary
-    parts of the E_s coefficient are the U_s and V_s coordinates, so each
-    such pair gives exactly four entries, one per choice of U or V on each
-    side. No two pairs share an entry: g + d = g' + d' with g' = +-g,
-    d' = +-d forces g' = g, d' = d.
+    Read off the root-root rows (g, s, d, N(g, d)) of the adjoint table whose
+    output s = g + d is a positive root: such a pair brackets the E_g, E_d
+    parts of e_i, e_j into N(g, d) E_s. E_g has coefficient sign(g) in U_|g|
+    and i in V_|g|, and the real and imaginary parts of the E_s coefficient
+    are the U_s and V_s coordinates, so each such pair gives exactly four
+    entries, one per choice of U or V on each side. No two pairs share an
+    entry: g + d = g' + d' with g' = +-g, d' = +-d forces g' = g, d' = d.
     """
     rs = sc.rs
-    block = {a: p for p, a in enumerate(rs.positive_roots)}
-    block.update({negate(a): p for a, p in block.items()})
-    p, q, r, sg, sd, n = np.array([
-        (block[g], block[d], block[s], 1 if rs.is_positive(g) else -1,
-         1 if rs.is_positive(d) else -1, sc.n_coeff[(g, d)])
-        for (g, d), s in rs.sum_table.items() if rs.is_positive(s)
-    ], dtype=np.intp).reshape(-1, 6).T
+    _, _, (x, o, y, n) = _adjoint(rs, sc)
+    npos = len(rs.positive_roots)
+    # E_a sits at rank + block for positive a and at rank + npos + block for -a
+    g, r, d = x - rs.rank, o - rs.rank, y - rs.rank
+    keep = (g >= 0) & (d >= 0) & (r >= 0) & (r < npos)  # root-root rows, g + d positive
+    (hg, p), (hd, q), r, n = np.divmod(g[keep], npos), np.divmod(d[keep], npos), r[keep], n[keep]
+    sg, sd = 1 - 2 * hg, 1 - 2 * hd  # +1 in the positive half of the labels, -1 in the negative
     i = np.concatenate([2 * p, 2 * p, 2 * p + 1, 2 * p + 1])
     j = np.concatenate([2 * q, 2 * q + 1, 2 * q, 2 * q + 1])
     k = np.concatenate([2 * r, 2 * r + 1, 2 * r + 1, 2 * r])  # UU, UV, VU, VV

@@ -68,6 +68,15 @@ class JobConfig:
             raise ConfigurationError("su-crosscheck is only defined for family A")
 
 
+def _number(kind, value, key: str):
+    try:
+        if isinstance(value, bool) or kind is int and isinstance(value, float) and value % 1:
+            raise ValueError(value)
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}") from None
+
+
 def metric_spec_from_config(rs, coefficients) -> MetricSpec:
     """Build a MetricSpec from the config coefficient block."""
     if coefficients == "normal":
@@ -77,9 +86,9 @@ def metric_spec_from_config(rs, coefficients) -> MetricSpec:
     seen: dict = {}
     for entry in coefficients:
         try:
-            root = tuple(int(v) for v in entry["root"])
-            value = float(entry["c"])
-        except (KeyError, TypeError, ValueError) as exc:
+            root = tuple(_number(int, v, "root") for v in entry["root"])
+            value = _number(float, entry["c"], "c")
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: ConfigurationError too
             raise ConfigurationError(f"malformed coefficient entry {entry!r}") from exc
         if root not in rs.all_roots or not rs.is_positive(root):
             raise ConfigurationError(f"{list(root)} is not a positive root of the system")
@@ -259,19 +268,13 @@ def parse_config(argv=None) -> JobConfig:
         else:
             checks.append(name)
 
-    def number(kind, value, key):
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"{key} must be a number, got {value!r}") from None
-
     return JobConfig(
         family=str(family).upper(),
-        rank=number(int, rank, "rank"),
+        rank=_number(int, rank, "rank"),
         coefficients=coefficients,
         checks=tuple(dict.fromkeys(checks)),
-        tolerance=number(float, pick(args.tolerance, "tolerance", DEFAULT_TOLERANCE), "tolerance"),
-        seed=number(int, pick(args.seed, "seed", 0), "seed"),
+        tolerance=_number(float, pick(args.tolerance, "tolerance", DEFAULT_TOLERANCE), "tolerance"),
+        seed=_number(int, pick(args.seed, "seed", 0), "seed"),
         output_path=pick(args.output, "output", None),
         format=pick(args.format, "format", "json"),
     )

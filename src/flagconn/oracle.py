@@ -69,8 +69,7 @@ def _oracle_tensor(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
     / (2 diag_k), that is (T[k, j, i] diag_i + T[k, i, j] diag_j) / (2 diag_k):
     each entry T[i, j, k] = t lands at (k, j, i) and (j, k, i) with t diag_k.
     """
-    i, j, k, t = m_bracket_entries(sc, gram.mbasis)
-    d = gram.diagonal
+    (i, j, k, t), d = m_bracket_entries(sc, gram.mbasis), gram.diagonal
     td = t * d[k]
     u = _scatter(gram.mbasis, k, j, i, td)
     u[j, k, i] += td  # keys are unique within one entry list
@@ -85,9 +84,10 @@ def u_oracle(
     x: np.ndarray,
     y: np.ndarray,
 ) -> np.ndarray:
-    """U(x, y) solved directly from the defining condition."""
+    """U(x, y) solved from the defining condition: _oracle_tensor's rule over the entries."""
     x, y = _coords(gram.mbasis, x), _coords(gram.mbasis, y)
-    return np.einsum("ijk,i,j->k", _oracle_tensor(sc, gram), x, y)
+    (i, j, k, t), d = m_bracket_entries(sc, gram.mbasis), gram.diagonal
+    return np.bincount(i, t * d[k] * (x[k] * y[j] + x[j] * y[k]), len(d)) / (2.0 * d)
 
 
 def check_oracle_equivalence(

@@ -10,6 +10,7 @@ so the standard positive-root counts act as an independent cross-check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DimensionError, DomainError
@@ -125,13 +126,18 @@ def _generate_positive(pairing, simple: tuple[Coords, ...]) -> set[Coords]:
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the root system of the given classical family and rank."""
+    """The root system of the given classical family and rank, one object per (family, rank)."""
     fam = str(family).upper()
     if fam not in FAMILIES:
         raise ConfigurationError(f"unsupported family {family!r}; expected one of {FAMILIES}")
-    if not isinstance(rank, int) or rank < _MIN_RANK[fam]:
+    # a bool is an int, and ("A", True) == ("A", 1) as a cache key
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < _MIN_RANK[fam]:
         raise ConfigurationError(f"family {fam} requires rank >= {_MIN_RANK[fam]}, got {rank}")
+    return _root_system(fam, rank)
 
+
+@functools.lru_cache(maxsize=None)
+def _root_system(fam: str, rank: int) -> RootSystem:
     pairing = _cartan_pairing(fam, rank)
     simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
     positive = _generate_positive(pairing, simple)

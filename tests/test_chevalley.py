@@ -19,7 +19,7 @@ from flagconn import (
     project_m,
     project_root_space,
 )
-from flagconn.chevalley import _adjoint, root_string_p
+from flagconn.chevalley import _adjoint, m_bracket_entries, root_string_p
 from conftest import RANK_LE_4, pipeline
 
 
@@ -174,11 +174,37 @@ def test_adjoint_entries_and_killing_gram_match_dense_brackets(family, rank):
     assert np.array_equal(gram, np.einsum("aij,bji->ab", ad, ad))
 
 
+def _sum_table_entries(sc):
+    """The m-bracket entries by a direct loop over rs.sum_table, the reference for their order."""
+    rs = sc.rs
+    block = {a: p for p, a in enumerate(rs.positive_roots)}
+    block.update({negate(a): p for a, p in block.items()})
+    p, q, r, sg, sd, n = np.array([
+        (block[g], block[d], block[s], 1 if rs.is_positive(g) else -1,
+         1 if rs.is_positive(d) else -1, sc.n_coeff[(g, d)])
+        for (g, d), s in rs.sum_table.items() if rs.is_positive(s)
+    ], dtype=np.intp).reshape(-1, 6).T
+    i = np.concatenate([2 * p, 2 * p, 2 * p + 1, 2 * p + 1])
+    j = np.concatenate([2 * q, 2 * q + 1, 2 * q, 2 * q + 1])
+    k = np.concatenate([2 * r, 2 * r + 1, 2 * r + 1, 2 * r])
+    t = np.concatenate([sg * sd * n, sg * n, sd * n, -n]).astype(float)
+    return i, j, k, t
+
+
+@pytest.mark.parametrize("family,rank", RANK_LE_4 + [("A", 6), ("B", 5), ("C", 5), ("D", 5)])
+def test_m_bracket_entries_are_the_adjoint_rows_in_sum_table_order(family, rank):
+    pl = pipeline(family, rank)
+    got = m_bracket_entries(pl.sc, pl.mb)
+    for a, b in zip(got, _sum_table_entries(pl.sc), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_killing_gram_memory_stays_below_one_dense_stack():
     rs = build_root_system("A", 8)
     sc = chevalley_constants(rs)
     dim = rs.rank + len(rs.all_roots)
     stack_bytes = dim ** 3 * np.dtype(np.int64).itemsize
+    _adjoint.cache_clear()
     tracemalloc.start()
     try:
         killing_gram.__wrapped__(rs, sc)  # uncached: builds the adjoint entries afresh

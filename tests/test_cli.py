@@ -1,9 +1,14 @@
 """CLI configuration, serialization, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flagconn.cli
 from flagconn import build_metric, build_root_system, chevalley_constants, killing_gram
 from flagconn.cli import (
     EXIT_CHECK_FAILED,
@@ -131,10 +136,22 @@ def test_bad_family_rank_and_checks(tmp_path, capsys):
     ("json", [1, 2]),
     ("json", {"output": True}),
     ("json", {"output": 3}),
+    ("json", {"rank": 2.7}),
+    ("json", {"rank": True}),
+    ("json", {"rank": float("inf")}),
+    ("json", {"seed": 1.5}),
+    ("json", {"tolerance": True}),
+    ("json", {"coefficients": [{"root": [0, 1], "c": True}, {"root": [1, 0], "c": 2},
+                               {"root": [1, 1], "c": 3}]}),
+    ("json", {"coefficients": [{"root": [0, 1], "c": 10 ** 400}, {"root": [1, 0], "c": 2},
+                               {"root": [1, 1], "c": 3}]}),
+    ("json", {"coefficients": [{"root": [0, 1], "c": 1}, {"root": [1.5, 0], "c": 2},
+                               {"root": [1, 1], "c": 3}]}),
 ], ids=["json-unwritable", "csv-unwritable", "rank", "tolerance", "checks", "top-level-list",
-        "output-bool", "output-int"])
+        "output-bool", "output-int", "rank-fraction", "rank-bool", "rank-inf", "seed-fraction",
+        "tolerance-bool", "c-bool", "c-too-large", "root-fraction"])
 def test_bad_outside_input_is_a_config_error(tmp_path, capsys, fmt, config):
-    args = ["--family", "A", "--coeffs", "normal", "--format", fmt]
+    args = ["--family", "A", "--format", fmt]
     if config is None:  # the output directory does not exist
         out = tmp_path / "missing" / f"out.{fmt}"
     else:
@@ -266,3 +283,33 @@ def test_metric_spec_from_config_rejects_bad_shapes(tmp_path):
         metric_spec_from_config(rs, [{"root": [0, 1], "c": 1.0}, {"root": [0, 1], "c": 2.0}])
     with pytest.raises(ConfigurationError):
         metric_spec_from_config(rs, [{"c": 1.0}])
+
+
+def test_one_job_builds_each_table_once(tmp_path):
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "flagconn":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    code, _ = run_cli(tmp_path, "--family", "A", "--rank", "4", "--checks", "all")
+    assert code == EXIT_OK
+    for cached in (flagconn.rootsys._root_system, flagconn.chevalley.chevalley_constants,
+                   flagconn.chevalley._adjoint, flagconn.chevalley.m_bracket_entries,
+                   flagconn.connection._gamma_entries):
+        assert cached.cache_info().misses == 1, cached.__name__
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    src = str(Path(flagconn.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def top_level_modules(*imports):
+        code = "import sys; " + "".join(f"import {m}; " for m in imports) + (
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return set(out.split())
+
+    # site .pth files may load packages into a bare interpreter too
+    added = top_level_modules("flagconn.cli") - top_level_modules()
+    assert added - set(sys.stdlib_module_names) == {"numpy", "flagconn"}

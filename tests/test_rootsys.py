@@ -10,6 +10,7 @@ from flagconn import (
     DomainError,
     abs_root,
     build_root_system,
+    chevalley_constants,
     lex_compare,
     negate,
     root_sum,
@@ -165,8 +166,18 @@ def test_sum_table_is_exact_and_symmetric(family, rank):
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("E", 6), ("A", 0), ("B", 1), ("C", 1), ("D", 2), ("F", 4)],
+    [("E", 6), ("A", 0), ("B", 1), ("C", 1), ("D", 2), ("F", 4), ("A", True)],
 )
 def test_rejects_unsupported_configurations(family, rank):
     with pytest.raises(ConfigurationError):
         build_root_system(family, rank)
+
+
+def test_one_system_per_family_and_rank():
+    rs = build_root_system("a", 4)
+    assert rs is build_root_system("A", 4)
+    chevalley_constants(rs)
+    before = chevalley_constants.cache_info().currsize
+    for _ in range(10):
+        chevalley_constants(build_root_system("A", 4))
+    assert chevalley_constants.cache_info().currsize == before

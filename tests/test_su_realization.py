@@ -166,6 +166,7 @@ def test_su_bracket_tables_negative_control(a3, monkeypatch):
 
     def perturbed(rs, sc):
         labels, idx, entries = adjoint(rs, sc)
+        entries = entries.copy()  # the cached table is read-only
         at_slot = (entries[0] == x) & (entries[1] == o) & (entries[2] == y)
         assert at_slot.sum() == 1
         entries[3, at_slot] += 1
