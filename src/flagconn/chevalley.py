@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class StructureConstants:
     """Exact bracket data for a Chevalley basis of the given root system."""
 
     rs: RootSystem
-    n_coeff: dict[tuple[Coords, Coords], int]
-    coroot_table: dict[Coords, tuple[int, ...]]
+    n_coeff: MappingProxyType[tuple[Coords, Coords], int]
+    coroot_table: MappingProxyType[Coords, tuple[int, ...]]
 
     def n(self, alpha: Coords, beta: Coords) -> int:
         """N(alpha, beta); defined exactly when alpha, beta, alpha+beta are roots."""
@@ -113,20 +113,12 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
     N(-a, -b) = -N(a, b), the coroot identity on triples summing to zero,
     and the Jacobi identity; all arithmetic stays in exact integers.
     """
-    pos = rs.positive_roots
     is_pos = rs.is_positive
 
     special: dict[Coords, list[tuple[Coords, Coords]]] = {}
-    for rho in pos:
-        pairs = [
-            (g, rs.sum_table[(rho, negate(g))])
-            for g in pos
-            if (rho, negate(g)) in rs.sum_table
-            and is_pos(rs.sum_table[(rho, negate(g))])
-            and g < rs.sum_table[(rho, negate(g))]
-        ]
-        if pairs:
-            special[rho] = sorted(pairs)
+    for (g, d), rho in rs.sum_table.items():
+        if is_pos(g) and is_pos(d) and g < d:
+            special.setdefault(rho, []).append((g, d))
 
     table: dict[tuple[Coords, Coords], int] = {}
 
@@ -140,15 +132,12 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
             return -resolve(b, a)
         # a positive, b negative, s positive: rotate the zero-sum triple
         # (a, b, -s) onto the positive pair (-b, s), whose sum is a
-        val = resolve(negate(b), s)
-        out = -Fraction(rs.norm2(s), rs.norm2(a)) * val
-        assert out.denominator == 1
-        return int(out)
+        out, rem = divmod(-rs.norm2(s) * resolve(negate(b), s), rs.norm2(a))
+        assert rem == 0
+        return out
 
-    for rho in sorted(pos, key=sum):  # by height: recursion reaches only lower sums
-        if rho not in special:
-            continue
-        pairs = special[rho]
+    for rho in sorted(special, key=sum):  # by height: recursion reaches only lower sums
+        pairs = sorted(special[rho])
         a0, b0 = pairs[0]
         table[(a0, b0)] = root_string_p(rs, a0, b0) + 1
         for g, d in pairs[1:]:
@@ -158,26 +147,18 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
                 acc += resolve(b0, negate(g)) * resolve(add_roots(b0, negate(g)), a0)
             if add_roots(a0, negate(g)) in rs.all_roots:
                 acc += resolve(negate(g), a0) * resolve(add_roots(a0, negate(g)), b0)
-            n_anchor = table[(a0, b0)]
-            assert acc % n_anchor == 0
-            n_rho_negg = -acc // n_anchor
-            val = -Fraction(rs.norm2(rho), rs.norm2(d)) * n_rho_negg
-            assert val.denominator == 1
-            table[(g, d)] = int(val)
+            n_rho_negg, rem = divmod(-acc, table[(a0, b0)])
+            assert rem == 0
+            table[(g, d)], rem = divmod(-rs.norm2(rho) * n_rho_negg, rs.norm2(d))
+            assert rem == 0
 
     n_coeff = {(a, b): resolve(a, b) for (a, b) in rs.sum_table}
 
-    coroot_table: dict[Coords, tuple[int, ...]] = {}
     norms = [rs.norm2(s) for s in rs.simple_roots]
-    for r in rs.all_roots:
-        cr = []
-        for i in range(rs.rank):
-            c = Fraction(r[i] * norms[i], rs.norm2(r))
-            assert c.denominator == 1
-            cr.append(int(c))
-        coroot_table[r] = tuple(cr)
-
-    return StructureConstants(rs=rs, n_coeff=n_coeff, coroot_table=coroot_table)
+    coroots = {r: [divmod(c * n, rs.norm2(r)) for c, n in zip(r, norms)] for r in rs.all_roots}
+    assert all(rem == 0 for cr in coroots.values() for _, rem in cr)
+    coroot_table = {r: tuple(c for c, _ in cr) for r, cr in coroots.items()}
+    return StructureConstants(rs, MappingProxyType(n_coeff), MappingProxyType(coroot_table))
 
 
 def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
@@ -221,7 +202,7 @@ class KillingForm:
 
     rs: RootSystem
     labels: tuple[tuple, ...]
-    index: dict[tuple, int]
+    index: MappingProxyType[tuple, int]
     gram: np.ndarray
 
     def e_pair(self, alpha: Coords) -> int:
@@ -276,7 +257,8 @@ def killing_gram(rs: RootSystem, sc: StructureConstants) -> KillingForm:
                                     dtype=np.int64).T
     gram = np.zeros((len(labels),) * 2, dtype=np.int64)
     np.add.at(gram, (rows, cols), products)
-    return KillingForm(rs=rs, labels=labels, index=index, gram=gram)
+    gram.flags.writeable = False  # shared through the cache
+    return KillingForm(rs=rs, labels=labels, index=MappingProxyType(index), gram=gram)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +271,7 @@ class MBasis:
 
     rs: RootSystem
     labels: tuple[tuple[Coords, str], ...]
-    index: dict[tuple[Coords, str], int]
+    index: MappingProxyType[tuple[Coords, str], int]
 
     @property
     def dim(self) -> int:
@@ -329,11 +311,9 @@ class MBasis:
 @functools.lru_cache(maxsize=None)
 def build_m_basis(rs: RootSystem) -> MBasis:
     """The 2|R+| basis elements, ordered by lexicographically ascending root."""
-    labels: list[tuple[Coords, str]] = []
-    for alpha in rs.positive_roots:
-        labels.append((alpha, "U"))
-        labels.append((alpha, "V"))
-    return MBasis(rs=rs, labels=tuple(labels), index={lab: k for k, lab in enumerate(labels)})
+    labels = tuple((alpha, kind) for alpha in rs.positive_roots for kind in "UV")
+    index = MappingProxyType({lab: k for k, lab in enumerate(labels)})  # shared through the cache
+    return MBasis(rs=rs, labels=labels, index=index)
 
 
 def project_root_space(x: LieElement, gamma: Coords) -> complex:
@@ -367,17 +347,23 @@ def project_m(mb: MBasis, x: LieElement, tol: float = 1e-9) -> np.ndarray:
 def m_bracket_entries(
     sc: StructureConstants, mb: MBasis
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries T[i, j, k] = t of the m-bracket, as arrays (i, j, k, t).
+    """The nonzero entries T[i, j, k] = t of the m-bracket, as arrays (i, j, k, t)
+    sorted row-major by (i, j, k).
 
     Read off the root-root rows (g, s, d, N(g, d)) of the adjoint table whose
     output s = g + d is a positive root: such a pair brackets the E_g, E_d
     parts of e_i, e_j into N(g, d) E_s. E_g has coefficient sign(g) in U_|g|
     and i in V_|g|, and the real and imaginary parts of the E_s coefficient
     are the U_s and V_s coordinates, so each such pair gives exactly four
-    entries, one per choice of U or V on each side. No two pairs share an
-    entry: g + d = g' + d' with g' = +-g, d' = +-d forces g' = g, d' = d.
+    entries, the even-parity choices of U or V on the blocks (|g|, |d|, |g+d|).
+    No two pairs share an entry: g + d = g' + d' with g' = +-g, d' = +-d forces
+    g' = g, d' = d. The keys are closed under every permutation of (i, j, k):
+    a permuted root triple (g, d, -(g+d)) is again one, and it gives the four
+    even-parity choices on the permuted blocks.
     """
     rs = sc.rs
+    if mb.rs is not sc.rs:
+        raise DimensionError("the m basis and the structure constants belong to different systems")
     _, _, (x, o, y, n) = _adjoint(rs, sc)
     npos = len(rs.positive_roots)
     # E_a sits at rank + block for positive a and at rank + npos + block for -a
@@ -389,6 +375,8 @@ def m_bracket_entries(
     j = np.concatenate([2 * q, 2 * q + 1, 2 * q, 2 * q + 1])
     k = np.concatenate([2 * r, 2 * r + 1, 2 * r + 1, 2 * r])  # UU, UV, VU, VV
     t = np.concatenate([sg * sd * n, sg * n, sd * n, -n]).astype(float)
+    order = np.lexsort((k, j, i))
+    i, j, k, t = i[order], j[order], k[order], t[order]
     for a in (i, j, k, t):
         a.flags.writeable = False  # shared through the cache
     return i, j, k, t

@@ -14,10 +14,12 @@ formula therefore weights the table entry by entry:
     U(e_i, e_j)_k = (c_|i| - c_|j|) / (2 c_|k|) * (-T[i, j, k]),
 
 where |i| is the positive root whose block holds e_i. The entries (i, j, k) of
-U and of gamma = T / 2 + U are computed once per metric, which is validated
-then; a point query sums them against x_i y_j, the dense tensor scatters them.
-The brute-force oracle module verifies the weights against the defining
-linear condition of U and shares only the bracket entries with this module.
+U and of gamma = T / 2 + U, on the sorted keys of the bracket entries, are
+computed once per metric, which is validated then; a point query sums them
+against x_i y_j, and only the public assemble_tensor scatters them into a
+dense array. The brute-force oracle module checks the u weights entry by
+entry against the defining linear condition of U and shares only the bracket
+entries with this module.
 """
 
 from __future__ import annotations
@@ -148,12 +150,6 @@ def _entries(sc: StructureConstants, mb: MBasis, spec: MetricSpec):
         return _coefficients(sc.rs, values)
 
 
-def _u_tensor(sc: StructureConstants, mb: MBasis, spec: MetricSpec) -> np.ndarray:
-    """Dense closed-form U[i, j, k] = U(e_i, e_j)_k over all basis pairs."""
-    i, j, k, u, _ = _entries(sc, mb, spec)
-    return _scatter(mb, i, j, k, u)
-
-
 def u_bilinear(
     sc: StructureConstants,
     mb: MBasis,
@@ -164,7 +160,7 @@ def u_bilinear(
     """The symmetric term U(x, y) over the m basis, summed over the table entries."""
     i, j, k, u, _ = _entries(sc, mb, spec)
     x, y = _coords(mb, x), _coords(mb, y)
-    return np.bincount(k, weights=u * x[i] * y[j], minlength=mb.dim)
+    return np.bincount(k, weights=u * x[i] * y[j], minlength=mb.dim).astype(float, copy=False)
 
 
 def nabla(
@@ -177,7 +173,7 @@ def nabla(
     """Covariant derivative nabla_x y at the base point, in m coordinates."""
     i, j, k, _, gamma = _entries(sc, mb, spec)
     x, y = _coords(mb, x), _coords(mb, y)
-    return np.bincount(k, weights=gamma * x[i] * y[j], minlength=mb.dim)
+    return np.bincount(k, weights=gamma * x[i] * y[j], minlength=mb.dim).astype(float, copy=False)
 
 
 def assemble_tensor(sc: StructureConstants, mb: MBasis, spec: MetricSpec) -> ConnectionTensor:

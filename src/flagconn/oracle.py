@@ -7,17 +7,20 @@ The oracle solves the defining linear condition
 coordinate by coordinate, which is immediate because the Gram matrix is
 diagonal on the m basis. It shares only the m-bracket entries with the
 closed form and never its weights, so agreement between the two is a
-genuine check of the closed form.
+genuine check of the closed form. Both vanish off the bracket keys, so they
+are compared entry by entry on those keys, without a dense array.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chevalley import StructureConstants, _scatter, killing_gram, m_bracket_entries
-from .connection import ConnectionTensor, _coords, _u_tensor
+from .chevalley import MBasis, StructureConstants, killing_gram, m_bracket_entries
+from .connection import ConnectionTensor, _coords, _entries
+from .errors import DimensionError
 from .metric import MetricGram, MetricSpec, build_metric
 from .rootsys import RootSystem, abs_root, negate
 
@@ -54,27 +57,41 @@ def _report(name: str, residual: float, threshold: float, witness) -> CheckRepor
     )
 
 
-def _residual_report(name: str, residual: np.ndarray, threshold: float) -> CheckReport:
-    """Largest residual; witness: first row-major maximum or NaN, None at zero."""
+def _residual_report(name: str, residual: np.ndarray, threshold: float, keys=None) -> CheckReport:
+    """Largest residual; witness: the first maximum or NaN, by row-major position or
+    by the entry ``keys`` (arrays of (i, j, k)), None at zero or with nothing to compare."""
+    if residual.size == 0:
+        return _report(name, 0.0, threshold, None)
     flat = int(np.argmax(residual))
     worst = residual.flat[flat]
-    witness = None if worst == 0 else tuple(int(v) for v in np.unravel_index(flat, residual.shape))
-    return _report(name, worst, threshold, witness)
+    at = np.unravel_index(flat, residual.shape) if keys is None else [a[flat] for a in keys]
+    return _report(name, worst, threshold, None if worst == 0 else tuple(int(v) for v in at))
 
 
-def _oracle_tensor(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
-    """U(e_i, e_j)_k solved from the defining condition, for all i, j, k.
+@functools.lru_cache(maxsize=None)
+def _transposed(sc: StructureConstants, mb: MBasis) -> np.ndarray:
+    """Rows: positions of the entries (k, j, i) and (k, i, j) of each bracket entry (i, j, k).
+    The keys are sorted and permutation-closed; a miss raises, never gathers a wrong entry."""
+    i, j, k, _ = m_bracket_entries(sc, mb)
+    ji = np.stack([j, i])
+    keys, want = (i * mb.dim + j) * mb.dim + k, (k * mb.dim + ji) * mb.dim + ji[::-1]
+    pos = np.searchsorted(keys, want)
+    if not np.array_equal(np.take(keys, pos, mode="clip"), want):
+        raise AssertionError("the m-bracket keys are not closed under permutation")
+    pos.flags.writeable = False  # shared through the cache
+    return pos
+
+
+def _oracle_entries(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
+    """U(e_i, e_j)_k solved from the defining condition, on each bracket entry (i, j, k).
 
     Coordinate k of U(e_i, e_j) is (g(e_i, [e_k, e_j]_m) + g([e_k, e_i]_m, e_j))
-    / (2 diag_k), that is (T[k, j, i] diag_i + T[k, i, j] diag_j) / (2 diag_k):
-    each entry T[i, j, k] = t lands at (k, j, i) and (j, k, i) with t diag_k.
+    / (2 d_k), that is (T[k, j, i] d_i + T[k, i, j] d_j) / (2 d_k). It reads
+    only T and the Gram diagonal d, and vanishes off the bracket keys.
     """
     (i, j, k, t), d = m_bracket_entries(sc, gram.mbasis), gram.diagonal
-    td = t * d[k]
-    u = _scatter(gram.mbasis, k, j, i, td)
-    u[j, k, i] += td  # keys are unique within one entry list
-    u /= 2.0 * d
-    return u
+    kji, kij = _transposed(sc, gram.mbasis)
+    return (t[kji] * d[i] + t[kij] * d[j]) / (2.0 * d[k])
 
 
 def u_oracle(
@@ -84,10 +101,11 @@ def u_oracle(
     x: np.ndarray,
     y: np.ndarray,
 ) -> np.ndarray:
-    """U(x, y) solved from the defining condition: _oracle_tensor's rule over the entries."""
+    """U(x, y) solved from the defining condition: _oracle_entries summed against x_i y_j."""
     x, y = _coords(gram.mbasis, x), _coords(gram.mbasis, y)
-    (i, j, k, t), d = m_bracket_entries(sc, gram.mbasis), gram.diagonal
-    return np.bincount(i, t * d[k] * (x[k] * y[j] + x[j] * y[k]), len(d)) / (2.0 * d)
+    i, j, k, _ = m_bracket_entries(sc, gram.mbasis)
+    # with no entries (A1) bincount counts in integers
+    return np.bincount(k, _oracle_entries(sc, gram) * x[i] * y[j], len(x)).astype(float, copy=False)
 
 
 def check_oracle_equivalence(
@@ -96,11 +114,12 @@ def check_oracle_equivalence(
     spec: MetricSpec,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
-    """Compare the closed-form U with the oracle over all basis pairs."""
+    """Compare the closed-form U with the oracle entry by entry on the bracket keys,
+    off which both vanish; a witness is the (i, j, k) of an entry."""
     gram = build_metric(rs, killing_gram(rs, sc), spec)
-    res = _u_tensor(sc, gram.mbasis, spec)
-    res -= _oracle_tensor(sc, gram)
-    return _residual_report("oracle-equivalence", np.abs(res, out=res), tolerance)
+    i, j, k, u, _ = _entries(sc, gram.mbasis, spec)
+    res = np.abs(u - _oracle_entries(sc, gram))
+    return _residual_report("oracle-equivalence", res, tolerance, (i, j, k))
 
 
 def check_torsion(
@@ -121,6 +140,8 @@ def check_metric_compat(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
     """g(nabla_{e_i} e_j, e_k) + g(e_j, nabla_{e_i} e_k) must vanish."""
+    if gram.mbasis.rs is not tensor.mbasis.rs:
+        raise DimensionError("the tensor and the Gram matrix belong to different systems")
     weighted = tensor.gamma * gram.diagonal[None, None, :]
     res = weighted + weighted.transpose(0, 2, 1)
     return _residual_report("metric-compatibility", np.abs(res, out=res), tolerance)

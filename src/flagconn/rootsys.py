@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import ConfigurationError, DimensionError, DomainError
 
@@ -65,7 +66,8 @@ class RootSystem:
     ``positive_roots`` is sorted strictly ascending in the lexicographic
     order; ``all_roots`` is the disjoint union with the negatives;
     ``sum_table`` maps a pair of roots to their sum exactly when the sum is
-    again a root.
+    again a root. One object per (family, rank) is shared, so its tables are
+    read-only mappings.
     """
 
     family: str
@@ -73,9 +75,9 @@ class RootSystem:
     simple_roots: tuple[Coords, ...]
     positive_roots: tuple[Coords, ...]
     all_roots: frozenset[Coords]
-    sum_table: dict[tuple[Coords, Coords], Coords]
+    sum_table: MappingProxyType[tuple[Coords, Coords], Coords]
     pairing_matrix: tuple[tuple[int, ...], ...]
-    norm_table: dict[Coords, int]
+    norm_table: MappingProxyType[Coords, int]
 
     def is_positive(self, v: Coords) -> bool:
         """Lexicographic positivity of a lattice vector."""
@@ -146,16 +148,10 @@ def _root_system(fam: str, rank: int) -> RootSystem:
 
     norms = _simple_norms(fam, rank)
     gram = [[pairing[i][j] * norms[j] // 2 for j in range(rank)] for i in range(rank)]
-    norm_table: dict[Coords, int] = {}
-    for r in all_roots:
-        norm_table[r] = sum(gram[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
-
-    sum_table: dict[tuple[Coords, Coords], Coords] = {}
-    for a in all_roots:
-        for b in all_roots:
-            s = add_roots(a, b)
-            if s in all_roots:
-                sum_table[(a, b)] = s
+    norm_table = {r: sum(gram[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
+                  for r in all_roots}
+    sum_table = {(a, b): s for a in all_roots for b in all_roots
+                 if (s := add_roots(a, b)) in all_roots}
 
     return RootSystem(
         family=fam,
@@ -163,9 +159,9 @@ def _root_system(fam: str, rank: int) -> RootSystem:
         simple_roots=simple,
         positive_roots=pos_sorted,
         all_roots=all_roots,
-        sum_table=sum_table,
+        sum_table=MappingProxyType(sum_table),
         pairing_matrix=pairing,
-        norm_table=norm_table,
+        norm_table=MappingProxyType(norm_table),
     )
 
 

@@ -18,13 +18,16 @@ sum over index triples, with c the symmetric matrix of block coefficients:
 An explicit signed basis isomorphism phi is computed once; through it the
 cross-check compares phi([x, y]) = sum_o ad[x, o, y] phi[o], scattered from
 the nonzero abstract adjoint entries, with matrix commutators and the Killing
-gram with 2(n+1) tr(xy) on all full-basis pairs, and U on all m pairs.
+gram with 2(n+1) tr(xy) on all full-basis pairs, exactly (integers against
+products of +-1 and +-i matrix units), and U on all m pairs: the closed-form
+entries are subtracted from u_sun's all-pairs output at their keys.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -38,13 +41,11 @@ from .chevalley import (
     chevalley_constants,
     killing_gram,
 )
-from .connection import _u_tensor
+from .connection import _entries
 from .errors import ConfigurationError, DomainError
 from .metric import MetricSpec
 from .oracle import CheckReport, DEFAULT_TOLERANCE, _residual_report
 from .rootsys import Coords, RootSystem, build_root_system, negate
-
-BRACKET_TOLERANCE = 1e-12
 
 
 class EpsRoot(NamedTuple):
@@ -147,9 +148,8 @@ class SuAlignment:
 
     n: int
     rs: RootSystem
-    sc: StructureConstants
     mb: MBasis
-    signs: dict[Coords, int]
+    signs: MappingProxyType[Coords, int]
     coord_signs: np.ndarray
 
     def to_matrix(self, x: LieElement) -> np.ndarray:
@@ -215,10 +215,9 @@ def build_alignment(n: int) -> SuAlignment:
                 break
         else:  # pragma: no cover - every non-simple root splits off a simple one
             raise AssertionError(f"no simple summand found for {alpha}")
-    coord_signs = np.zeros(mb.dim)
-    for k, alpha in enumerate(rs.positive_roots):
-        coord_signs[2 * k] = coord_signs[2 * k + 1] = signs[alpha]
-    return SuAlignment(n=n, rs=rs, sc=sc, mb=mb, signs=signs, coord_signs=coord_signs)
+    coord_signs = np.repeat([signs[alpha] for alpha in rs.positive_roots], 2).astype(float)
+    coord_signs.flags.writeable = False  # shared through the cache
+    return SuAlignment(n=n, rs=rs, mb=mb, signs=MappingProxyType(signs), coord_signs=coord_signs)
 
 
 def _validated_coeffs(n: int, coeffs) -> np.ndarray:
@@ -306,14 +305,14 @@ def check_su_crosscheck(
     np.add.at(lhs, (x, y), v[:, None, None] * phi[o])  # phi([x, y]) = sum_o ad[x, o, y] phi[o]
     brackets = np.abs(lhs - rhs).max(axis=(-2, -1))
     killing = np.abs(kf.gram - su_killing(n, phi[:, None], phi[None, :]))
-    reports = [_residual_report("su-bracket-tables", brackets, BRACKET_TOLERANCE),
-               _residual_report("su-killing-form", killing, BRACKET_TOLERANCE)]
+    reports = [_residual_report("su-bracket-tables", brackets, 0.0),
+               _residual_report("su-killing-form", killing, 0.0)]
 
     if n >= 2:
         coeffs = {simple_to_eps(n, a): spec.c(a) for a in rs.positive_roots}
         e = np.diag(al.coord_signs)  # row i: the transported basis vector e_i
-        got = u_sun(n, coeffs, e[:, None, :], e[None, :, :])
-        expected = _u_tensor(sc, al.mb, spec) * al.coord_signs
-        residual = np.abs(expected - got).max(axis=-1)
-        reports.append(_residual_report("su-u-term", residual, tolerance))
+        residual = u_sun(n, coeffs, e[:, None, :], e[None, :, :])
+        i, j, k, u, _ = _entries(sc, build_m_basis(rs), spec)
+        residual[i, j, k] -= u * al.coord_signs[k]  # off the keys, u_sun's own value
+        reports.append(_residual_report("su-u-term", np.abs(residual).max(axis=-1), tolerance))
     return reports

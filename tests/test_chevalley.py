@@ -11,6 +11,8 @@ from flagconn import (
     LieElement,
     RepresentationError,
     bracket,
+    build_alignment,
+    build_m_basis,
     build_root_system,
     chevalley_constants,
     killing_gram,
@@ -195,7 +197,9 @@ def _sum_table_entries(sc):
 def test_m_bracket_entries_are_the_adjoint_rows_in_sum_table_order(family, rank):
     pl = pipeline(family, rank)
     got = m_bracket_entries(pl.sc, pl.mb)
-    for a, b in zip(got, _sum_table_entries(pl.sc), strict=True):
+    i, j, k, t = _sum_table_entries(pl.sc)
+    order = np.lexsort((k, j, i))  # the entries come sorted row-major by (i, j, k)
+    for a, b in zip(got, (i[order], j[order], k[order], t[order]), strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -291,3 +295,34 @@ def test_m_bracket_table_matches_direct_brackets(family, rank):
             ej = pl.mb.u_vec(beta) if kind2 == "U" else pl.mb.v_vec(beta)
             direct = project_m(pl.mb, bracket(pl.sc, ei, ej))
             assert np.array_equal(table[i, j], direct)
+
+
+@pytest.mark.parametrize("family,rank", RANK_LE_4 + [("A", 6), ("B", 5), ("C", 5), ("D", 5)])
+def test_m_bracket_keys_are_sorted_and_closed_under_permutation(family, rank):
+    pl = pipeline(family, rank)
+    i, j, k, _ = m_bracket_entries(pl.sc, pl.mb)
+    assert np.all(np.diff((i * pl.mb.dim + j) * pl.mb.dim + k) > 0)  # strictly ascending
+    keys = set(zip(i.tolist(), j.tolist(), k.tolist()))
+    for perm in list(itertools.permutations(range(3)))[1:]:
+        assert {tuple(key[p] for p in perm) for key in keys} == keys, perm
+
+
+def test_shared_per_system_tables_are_read_only():
+    rs = build_root_system("A", 3)
+    sc = chevalley_constants(rs)
+    kf = killing_gram(rs, sc)
+    mb = build_m_basis(rs)
+    al = build_alignment(3)
+    pair = next(iter(rs.sum_table))
+    with pytest.raises(AttributeError):
+        rs.sum_table.clear()
+    for table, key in ((rs.sum_table, pair), (rs.norm_table, pair[0]), (sc.n_coeff, pair),
+                       (sc.coroot_table, pair[0]), (kf.index, ("H", 0)), (mb.index, mb.labels[0]),
+                       (al.signs, rs.positive_roots[0])):
+        with pytest.raises(TypeError):
+            table[key] = 0
+    for array in (kf.gram, al.coord_signs):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert not hasattr(al, "sc")
+    assert rs.sum_table[pair] == tuple(a + b for a, b in zip(*pair))

@@ -313,3 +313,15 @@ def test_numpy_is_the_only_runtime_dependency():
     # site .pth files may load packages into a bare interpreter too
     added = top_level_modules("flagconn.cli") - top_level_modules()
     assert added - set(sys.stdlib_module_names) == {"numpy", "flagconn"}
+
+
+def test_cli_imports_neither_fractions_nor_decimal():
+    src = str(Path(flagconn.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def modules(*imports):
+        code = "import sys; " + "".join(f"import {m}; " for m in imports) + "print(*sys.modules)"
+        return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True).stdout.split())
+
+    assert not {"fractions", "decimal"} & (modules("flagconn.cli") - modules())

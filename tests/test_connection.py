@@ -401,3 +401,13 @@ def test_assemble_tensor_memory_stays_below_one_and_a_half_dense_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * dense_bytes
+
+
+def test_point_queries_are_float_zeros_without_bracket_entries():
+    pl = pipeline("A", 1)  # one positive root: [m, m]_m = 0
+    spec = MetricSpec.from_values(pl.rs, [2.0])
+    gram = build_metric(pl.rs, pl.killing, spec)
+    x, y = np.ones(2), np.arange(2.0)
+    for got in (nabla(pl.sc, pl.mb, spec, x, y), u_bilinear(pl.sc, pl.mb, spec, x, y),
+                u_oracle(pl.rs, pl.sc, gram, x, y)):
+        assert got.dtype == float and not got.any()

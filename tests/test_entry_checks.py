@@ -23,8 +23,9 @@ from flagconn import (
     m_bracket_table,
     u_oracle,
 )
-from flagconn.connection import _u_tensor
-from flagconn.oracle import DEFAULT_TOLERANCE, _oracle_tensor, _residual_report
+from flagconn.chevalley import _scatter, m_bracket_entries
+from flagconn.connection import _entries
+from flagconn.oracle import DEFAULT_TOLERANCE, _oracle_entries, _residual_report
 from conftest import RANK_LE_4, pipeline
 
 
@@ -46,7 +47,8 @@ def _dense_oracle_tensor(table, d):
 
 def _dense_reports(pl, spec, tensor, gram):
     table = m_bracket_table(pl.sc, pl.mb)
-    oracle = np.abs(_u_tensor(pl.sc, pl.mb, spec) - _dense_oracle_tensor(table, gram.diagonal))
+    i, j, k, u, _ = _entries(pl.sc, pl.mb, spec)
+    oracle = np.abs(_scatter(pl.mb, i, j, k, u) - _dense_oracle_tensor(table, gram.diagonal))
     torsion = np.abs(tensor.gamma - tensor.gamma.transpose(1, 0, 2) - table)
     weighted = tensor.gamma * gram.diagonal[None, None, :]
     metric = np.abs(weighted + weighted.transpose(0, 2, 1))
@@ -60,7 +62,8 @@ def test_entry_checks_equal_dense_table_formulas(family, rank):
     for spec in _metrics(pl.rs):
         gram = build_metric(pl.rs, pl.killing, spec)
         tensor = assemble_tensor(pl.sc, pl.mb, spec)
-        assert np.array_equal(_oracle_tensor(pl.sc, gram),
+        i, j, k, _ = m_bracket_entries(pl.sc, pl.mb)
+        assert np.array_equal(_scatter(pl.mb, i, j, k, _oracle_entries(pl.sc, gram)),
                               _dense_oracle_tensor(m_bracket_table(pl.sc, pl.mb), gram.diagonal))
         reports = [check_oracle_equivalence(pl.rs, pl.sc, spec),
                    check_torsion(tensor, pl.sc),
@@ -86,7 +89,7 @@ def test_checks_allocate_few_dense_arrays_at_a10():
     dense = pl.mb.dim ** 3 * 8
     rng = np.random.default_rng(5)
     x, y = rng.normal(size=pl.mb.dim), rng.normal(size=pl.mb.dim)
-    assert _peak_bytes(check_oracle_equivalence, pl.rs, pl.sc, spec) < 2.5 * dense
+    assert _peak_bytes(check_oracle_equivalence, pl.rs, pl.sc, spec) < 0.1 * dense
     assert _peak_bytes(check_torsion, tensor, pl.sc) < 1.5 * dense
     assert _peak_bytes(u_oracle, pl.rs, pl.sc, gram, x, y) < 0.1 * dense
 

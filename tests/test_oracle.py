@@ -16,6 +16,7 @@ from flagconn import (
     check_metric_compat,
     check_oracle_equivalence,
     check_torsion,
+    nabla,
     negate,
     u_oracle,
 )
@@ -126,25 +127,29 @@ def test_oracle_equivalence_negative_control(a3, monkeypatch):
     import flagconn.oracle
 
     spec = random_metric(a3.rs, 89)
-    closed_form = flagconn.oracle._u_tensor
+    closed_form = flagconn.oracle._entries
+    i, j, k, u, _ = closed_form(a3.sc, a3.mb, spec)
+    at = len(u) // 2  # an entry on the bracket support
+    witness = (int(i[at]), int(j[at]), int(k[at]))
 
-    def perturbed(entry, value):
-        def u_tensor(*args):
-            out = closed_form(*args)
-            out[entry] += value
-            return out
-        return u_tensor
+    def perturbed(value):
+        def entries(*args):
+            *keys, u, gamma = closed_form(*args)
+            u = u.copy()
+            u[at] += value
+            return *keys, u, gamma
+        return entries
 
-    monkeypatch.setattr(flagconn.oracle, "_u_tensor", perturbed((3, 7, 10), 1e-3))
+    monkeypatch.setattr(flagconn.oracle, "_entries", perturbed(1e-3))
     report = check_oracle_equivalence(a3.rs, a3.sc, spec)
     assert not report.passed
-    assert report.witness == (3, 7, 10)
+    assert report.witness == witness
     assert report.max_residual == pytest.approx(1e-3, rel=1e-6)
 
-    monkeypatch.setattr(flagconn.oracle, "_u_tensor", perturbed((5, 0, 2), np.nan))
+    monkeypatch.setattr(flagconn.oracle, "_entries", perturbed(np.nan))
     report = check_oracle_equivalence(a3.rs, a3.sc, spec)
     assert not report.passed
-    assert report.witness == (5, 0, 2)
+    assert report.witness == witness
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 3)])
@@ -169,3 +174,33 @@ def test_report_invariant_passed_iff_within_threshold(a2):
     assert report.passed == (report.max_residual <= report.threshold)
     d = report.to_dict()
     assert set(d) == {"check_name", "max_residual", "threshold", "passed", "witness"}
+
+
+@pytest.mark.parametrize("family,rank", RANK_LE_4)
+def test_u_oracle_is_exactly_zero_at_the_normal_metric(family, rank):
+    pl = pipeline(family, rank)
+    gram = build_metric(pl.rs, pl.killing, MetricSpec.normal(pl.rs))
+    rng = np.random.default_rng(rank)
+    for _ in range(3):
+        x, y = random_mvector(pl.mb.dim, rng), random_mvector(pl.mb.dim, rng)
+        got = u_oracle(pl.rs, pl.sc, gram, x, y)
+        assert got.dtype == float and np.all(got == 0.0)
+
+
+def test_a_basis_tensor_or_gram_from_another_system_is_a_dimension_error():
+    a2, a3, b2, c2 = (pipeline(*s) for s in (("A", 2), ("A", 3), ("B", 2), ("C", 2)))
+    assert b2.mb.dim == c2.mb.dim == 8
+    x = np.ones(8)
+    b2_tensor = assemble_tensor(b2.sc, b2.mb, MetricSpec.normal(b2.rs))
+    a2_tensor = assemble_tensor(a2.sc, a2.mb, MetricSpec.normal(a2.rs))
+    c2_gram = build_metric(c2.rs, c2.killing, MetricSpec.normal(c2.rs))
+    with pytest.raises(DimensionError):
+        nabla(c2.sc, b2.mb, MetricSpec.normal(c2.rs), x, x)
+    with pytest.raises(DimensionError):
+        check_torsion(b2_tensor, c2.sc)
+    with pytest.raises(DimensionError):
+        check_metric_compat(b2_tensor, c2_gram)
+    with pytest.raises(DimensionError):
+        assemble_tensor(a2.sc, a3.mb, MetricSpec.normal(a2.rs))
+    with pytest.raises(DimensionError):
+        check_torsion(a2_tensor, a3.sc)

@@ -127,29 +127,33 @@ def test_su_u_term_negative_control(a3, monkeypatch):
     import flagconn.su_realization
 
     spec = random_metric(a3.rs, 89)
-    closed_form = flagconn.su_realization._u_tensor
+    closed_form = flagconn.su_realization._entries
+    i, j, _, u, _ = closed_form(a3.sc, a3.mb, spec)
+    at = len(u) // 2  # an entry on the bracket support
+    witness = (int(i[at]), int(j[at]))
 
-    def perturbed(entry, value):
-        def u_tensor(*args):
-            out = closed_form(*args)
-            out[entry] += value
-            return out
-        return u_tensor
+    def perturbed(value):
+        def entries(*args):
+            *keys, u, gamma = closed_form(*args)
+            u = u.copy()
+            u[at] += value
+            return *keys, u, gamma
+        return entries
 
     def su_u_term():
         reports = check_su_crosscheck(a3.rs, a3.sc, spec)
         return {r.check_name: r for r in reports}["su-u-term"]
 
-    monkeypatch.setattr(flagconn.su_realization, "_u_tensor", perturbed((3, 7, 10), 1e-3))
+    monkeypatch.setattr(flagconn.su_realization, "_entries", perturbed(1e-3))
     report = su_u_term()
     assert not report.passed
-    assert report.witness == (3, 7)
+    assert report.witness == witness
     assert report.max_residual == pytest.approx(1e-3, rel=1e-6)
 
-    monkeypatch.setattr(flagconn.su_realization, "_u_tensor", perturbed((3, 7, 10), np.nan))
+    monkeypatch.setattr(flagconn.su_realization, "_entries", perturbed(np.nan))
     report = su_u_term()
     assert not report.passed
-    assert report.witness == (3, 7)
+    assert report.witness == witness
 
 
 def _su_report(pl, spec, name):
@@ -287,3 +291,12 @@ def test_u_su3_equals_u_sun():
         assert np.allclose(
             u_su3(c1, c2, c3, x, y), u_sun(2, coeffs, x, y), atol=1e-14
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_su_exact_checks_are_judged_exactly(n):
+    pl = pipeline("A", n)
+    reports = {r.check_name: r for r in check_su_crosscheck(pl.rs, pl.sc, random_metric(pl.rs, n))}
+    for name in ("su-bracket-tables", "su-killing-form"):
+        assert reports[name].threshold == 0.0
+        assert reports[name].max_residual == 0.0 and reports[name].passed
