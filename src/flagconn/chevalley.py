@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionError, DomainError, RepresentationError
-from .rootsys import Coords, RootSystem, add_roots, negate
+from .rootsys import Coords, RootSystem, _check_roots, _one_system, add_roots, negate
 
 
 @dataclass
@@ -62,10 +62,8 @@ class LieElement:
             self.rank, scalar * self.cartan, {r: scalar * c for r, c in self.roots.items()}
         )
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return np.all(np.abs(self.cartan) <= tol) and all(
-            abs(c) <= tol for c in self.roots.values()
-        )
+    def is_zero(self) -> bool:
+        return not self.cartan.any() and not any(self.roots.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +72,7 @@ class StructureConstants:
 
     rs: RootSystem
     n_coeff: MappingProxyType[tuple[Coords, Coords], int]
-    coroot_table: MappingProxyType[Coords, tuple[int, ...]]
+    coroot_table: MappingProxyType[Coords, tuple[int, ...]]  # alpha^vee over H_1..H_l
 
     def n(self, alpha: Coords, beta: Coords) -> int:
         """N(alpha, beta); defined exactly when alpha, beta, alpha+beta are roots."""
@@ -82,14 +80,6 @@ class StructureConstants:
             return self.n_coeff[(alpha, beta)]
         except KeyError:
             raise DomainError(f"N is undefined for {alpha}, {beta}") from None
-
-    def cartan_action(self, i: int, alpha: Coords) -> int:
-        """<alpha, alpha_i^vee>: eigenvalue of ad H_i on the alpha root space."""
-        return self.rs.pairing(alpha, i)
-
-    def coroot(self, alpha: Coords) -> tuple[int, ...]:
-        """Coordinates of alpha^vee over the simple coroots H_1..H_l."""
-        return self.coroot_table[alpha]
 
 
 def root_string_p(rs: RootSystem, alpha: Coords, beta: Coords) -> int:
@@ -113,7 +103,7 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
     N(-a, -b) = -N(a, b), the coroot identity on triples summing to zero,
     and the Jacobi identity; all arithmetic stays in exact integers.
     """
-    is_pos = rs.is_positive
+    is_pos, norm = rs.is_positive, rs.norm_table
 
     special: dict[Coords, list[tuple[Coords, Coords]]] = {}
     for (g, d), rho in rs.sum_table.items():
@@ -132,7 +122,7 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
             return -resolve(b, a)
         # a positive, b negative, s positive: rotate the zero-sum triple
         # (a, b, -s) onto the positive pair (-b, s), whose sum is a
-        out, rem = divmod(-rs.norm2(s) * resolve(negate(b), s), rs.norm2(a))
+        out, rem = divmod(-norm[s] * resolve(negate(b), s), norm[a])
         assert rem == 0
         return out
 
@@ -149,13 +139,13 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
                 acc += resolve(negate(g), a0) * resolve(add_roots(a0, negate(g)), b0)
             n_rho_negg, rem = divmod(-acc, table[(a0, b0)])
             assert rem == 0
-            table[(g, d)], rem = divmod(-rs.norm2(rho) * n_rho_negg, rs.norm2(d))
+            table[(g, d)], rem = divmod(-norm[rho] * n_rho_negg, norm[d])
             assert rem == 0
 
     n_coeff = {(a, b): resolve(a, b) for (a, b) in rs.sum_table}
 
-    norms = [rs.norm2(s) for s in rs.simple_roots]
-    coroots = {r: [divmod(c * n, rs.norm2(r)) for c, n in zip(r, norms)] for r in rs.all_roots}
+    norms = [norm[s] for s in rs.simple_roots]
+    coroots = {r: [divmod(c * n, norm[r]) for c, n in zip(r, norms)] for r in rs.all_roots}
     assert all(rem == 0 for cr in coroots.values() for _, rem in cr)
     coroot_table = {r: tuple(c for c, _ in cr) for r, cr in coroots.items()}
     return StructureConstants(rs, MappingProxyType(n_coeff), MappingProxyType(coroot_table))
@@ -172,10 +162,10 @@ def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
     for i in range(rs.rank):
         if x.cartan[i] != 0:
             for r, c in y.roots.items():
-                roots[r] = roots.get(r, 0.0) + x.cartan[i] * c * sc.cartan_action(i, r)
+                roots[r] = roots.get(r, 0.0) + x.cartan[i] * c * rs.pairing(r, i)
         if y.cartan[i] != 0:
             for r, c in x.roots.items():
-                roots[r] = roots.get(r, 0.0) - y.cartan[i] * c * sc.cartan_action(i, r)
+                roots[r] = roots.get(r, 0.0) - y.cartan[i] * c * rs.pairing(r, i)
 
     for r1, c1 in x.roots.items():
         for r2, c2 in y.roots.items():
@@ -184,7 +174,7 @@ def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
                 roots[s] = roots.get(s, 0.0) + c1 * c2 * sc.n_coeff[(r1, r2)]
             elif not any(s):
                 coeff = c1 * c2
-                for i, h in enumerate(sc.coroot(r1)):
+                for i, h in enumerate(sc.coroot_table[r1]):
                     cartan[i] += coeff * h
     return LieElement(rs.rank, cartan, roots)
 
@@ -230,14 +220,15 @@ def _adjoint(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.nd
     of ad as one read-only int64 array of columns (x, out, in, value): ``value`` is
     the coefficient of ``out`` in [x, in]. Root-root brackets come first, in
     ``rs.sum_table`` order; then [H_i, E_a], [E_a, H_i] and [E_a, E_{-a}] = H_a."""
+    _one_system("root system and the structure constants", rs, sc.rs)
     roots = list(rs.positive_roots) + [negate(r) for r in rs.positive_roots]
     labels = [("H", i) for i in range(rs.rank)] + [("E", r) for r in roots]
     index = {lab: k for k, lab in enumerate(labels)}
     e = {r: index[("E", r)] for r in roots}  # H_i sits at index i
     rows = [(e[a], e[s], e[b], sc.n_coeff[(a, b)]) for (a, b), s in rs.sum_table.items()]
     for a in roots:
-        for i, h in enumerate(sc.coroot(a)):
-            act = sc.cartan_action(i, a)
+        for i, h in enumerate(sc.coroot_table[a]):
+            act = rs.pairing(a, i)
             rows += [(i, e[a], e[a], act), (e[a], e[a], i, -act), (e[a], i, e[negate(a)], h)]
     entries = np.array([row for row in rows if row[3]], dtype=np.int64).T
     entries.flags.writeable = False  # shared through the cache
@@ -292,9 +283,7 @@ class MBasis:
 
     def to_lie(self, x: np.ndarray) -> LieElement:
         """Expand real m coordinates into a sparse complex element."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionError(f"expected coordinate length {self.dim}, got {x.shape}")
+        x = _coords(self, x)
         roots: dict[Coords, complex] = {}
         for k, alpha in enumerate(self.rs.positive_roots):
             u, v = x[2 * k], x[2 * k + 1]
@@ -321,19 +310,27 @@ def project_root_space(x: LieElement, gamma: Coords) -> complex:
     return x.roots.get(gamma, 0.0 + 0.0j)
 
 
-def project_m(mb: MBasis, x: LieElement, tol: float = 1e-9) -> np.ndarray:
+def _coords(mb: MBasis, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (mb.dim,):
+        raise DimensionError(f"expected coordinate length {mb.dim}, got {x.shape}")
+    return x
+
+
+def project_m(mb: MBasis, x: LieElement) -> np.ndarray:
     """Drop the Cartan part and express the root part over the m basis.
 
     Requires the reality condition coeff(E_{-a}) = -conj(coeff(E_a)) within
-    ``tol``; violations raise RepresentationError.
+    1e-9; violations raise RepresentationError.
     """
     if x.rank != mb.rs.rank:
         raise DimensionError("element does not match the basis rank")
+    _check_roots(mb.rs, *x.roots)
     out = np.zeros(mb.dim)
     for k, alpha in enumerate(mb.rs.positive_roots):
         a = x.roots.get(alpha, 0.0 + 0.0j)
         b = x.roots.get(negate(alpha), 0.0 + 0.0j)
-        if abs(b + a.conjugate()) > tol:
+        if abs(b + a.conjugate()) > 1e-9:
             raise RepresentationError(
                 f"reality condition violated on the {alpha} root pair by "
                 f"{abs(b + a.conjugate()):.3e}"
@@ -362,8 +359,7 @@ def m_bracket_entries(
     even-parity choices on the permuted blocks.
     """
     rs = sc.rs
-    if mb.rs is not sc.rs:
-        raise DimensionError("the m basis and the structure constants belong to different systems")
+    _one_system("m basis and the structure constants", mb.rs, rs)
     _, _, (x, o, y, n) = _adjoint(rs, sc)
     npos = len(rs.positive_roots)
     # E_a sits at rank + block for positive a and at rank + npos + block for -a
@@ -386,6 +382,13 @@ def _scatter(mb: MBasis, i, j, k, values) -> np.ndarray:
     out = np.zeros((mb.dim,) * 3)
     out[i, j, k] = values
     return out
+
+
+def _contract(mb: MBasis, i, j, k, weights, x, y) -> np.ndarray:
+    """weights * x_i * y_j summed into coordinate k over the entries, x and y checked first;
+    float also with no entries (A1), where bincount counts in integers."""
+    x, y = _coords(mb, x), _coords(mb, y)
+    return np.bincount(k, weights=weights * x[i] * y[j], minlength=mb.dim).astype(float, copy=False)
 
 
 def m_bracket_table(sc: StructureConstants, mb: MBasis) -> np.ndarray:

@@ -28,10 +28,11 @@ from .oracle import (
     check_oracle_equivalence,
     check_torsion,
 )
-from .rootsys import build_root_system
+from .rootsys import FAMILIES, build_root_system
 from .su_realization import check_su_crosscheck
 
 CHECK_NAMES = ("oracle", "torsion", "metric", "lemma2", "su-crosscheck")
+FORMATS = ("json", "csv")
 SPARSE_THRESHOLD = 1e-12
 
 EXIT_OK = 0
@@ -53,7 +54,7 @@ class JobConfig:
     format: str = "json"
 
     def validate(self) -> None:
-        if self.format not in ("json", "csv"):
+        if self.format not in FORMATS:
             raise ConfigurationError(f"unknown output format {self.format!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigurationError(f"output must be a file path, got {self.output_path!r}")
@@ -100,10 +101,10 @@ def metric_spec_from_config(rs, coefficients) -> MetricSpec:
     return spec
 
 
-def tensor_triples(tensor: ConnectionTensor, threshold: float = SPARSE_THRESHOLD) -> list[dict]:
-    """Sparse listing of tensor entries above the magnitude threshold."""
+def tensor_triples(tensor: ConnectionTensor) -> list[dict]:
+    """Sparse listing of tensor entries above SPARSE_THRESHOLD in magnitude."""
     gamma = tensor.gamma
-    index = np.nonzero(np.abs(gamma) > threshold)
+    index = np.nonzero(np.abs(gamma) > SPARSE_THRESHOLD)
     return [{"i": i, "j": j, "k": k, "value": v}
             for i, j, k, v in zip(*(a.tolist() for a in index), gamma[index].tolist())]
 
@@ -223,7 +224,7 @@ def parse_config(argv=None) -> JobConfig:
         "invariant metric, with built-in verification checks.",
     )
     parser.add_argument("--config", help="JSON file with JobConfig fields; flags override")
-    parser.add_argument("--family", choices=list("ABCD") + list("abcd"))
+    parser.add_argument("--family", choices=[*FAMILIES, *map(str.lower, FAMILIES)])
     parser.add_argument("--rank", type=int)
     parser.add_argument("--coeffs", help='"normal" or path to a JSON coefficient list')
     parser.add_argument("--checks", help='comma-separated subset of '
@@ -231,7 +232,7 @@ def parse_config(argv=None) -> JobConfig:
     parser.add_argument("--tolerance", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--output", help="output file path")
-    parser.add_argument("--format", choices=["json", "csv"])
+    parser.add_argument("--format", choices=FORMATS)
     args = parser.parse_args(argv)
 
     file_cfg: dict = {}

@@ -16,10 +16,10 @@ formula therefore weights the table entry by entry:
 where |i| is the positive root whose block holds e_i. The entries (i, j, k) of
 U and of gamma = T / 2 + U, on the sorted keys of the bracket entries, are
 computed once per metric, which is validated then; a point query sums them
-against x_i y_j, and only the public assemble_tensor scatters them into a
-dense array. The brute-force oracle module checks the u weights entry by
-entry against the defining linear condition of U and shares only the bracket
-entries with this module.
+against x_i y_j (chevalley._contract), and only the public assemble_tensor
+scatters them into a dense array. The brute-force oracle module checks the u
+weights entry by entry against the defining linear condition of U and shares
+only the bracket entries and their contraction with this module.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ from .chevalley import (
     LieElement,
     MBasis,
     StructureConstants,
+    _contract,
     _scatter,
     m_bracket_entries,
     project_m,
 )
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .metric import MetricSpec, _coefficients
-from .rootsys import Coords, RootSystem, abs_root, add_roots, negate
+from .rootsys import Coords, RootSystem, _check_roots, abs_root, add_roots, negate
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +58,7 @@ def canonical_pair(rs: RootSystem, alpha: Coords, beta: Coords) -> tuple[Coords,
     positive, swap if needed, then negate both if the first entry is still
     below -a2. Undefined when alpha = +-beta (the four candidates collapse).
     """
-    if alpha not in rs.all_roots or beta not in rs.all_roots:
-        raise DomainError(f"arguments must be roots of {rs.family}{rs.rank}")
+    _check_roots(rs, alpha, beta)
     if alpha == beta or alpha == negate(beta):
         raise DomainError("canonical pair is undefined for alpha = +-beta")
     a1, a2 = alpha, beta
@@ -81,8 +81,7 @@ def u_root_pair(
 ) -> LieElement:
     """U on single root components X = x_coeff E_gamma, Y = y_coeff E_delta."""
     rs = sc.rs
-    if gamma not in rs.all_roots or delta not in rs.all_roots:
-        raise DomainError(f"arguments must be roots of {rs.family}{rs.rank}")
+    _check_roots(rs, gamma, delta)
     s = add_roots(gamma, delta)
     if s not in rs.all_roots:  # includes delta = -gamma, zero is not a root
         return LieElement.zero(rs.rank)
@@ -108,8 +107,7 @@ def z_term(
     the projection to m.
     """
     rs = sc.rs
-    if alpha not in rs.all_roots or beta not in rs.all_roots:
-        raise DomainError(f"arguments must be roots of {rs.family}{rs.rank}")
+    _check_roots(rs, alpha, beta)
     dx, dy = mb.to_lie(x).roots, mb.to_lie(y).roots
     comps: dict[Coords, complex] = {}
     for r1, r2 in ((beta, alpha), (negate(beta), negate(alpha))):
@@ -120,13 +118,6 @@ def z_term(
         if w:
             comps[s] = w * sc.n_coeff[(r1, r2)]
     return project_m(mb, LieElement(rs.rank, np.zeros(rs.rank), comps))
-
-
-def _coords(mb: MBasis, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (mb.dim,):
-        raise DimensionError(f"expected coordinate length {mb.dim}, got {x.shape}")
-    return x
 
 
 @functools.lru_cache(maxsize=1, typed=True)  # typed: 3 + 0j must miss a cached 3.0
@@ -159,8 +150,7 @@ def u_bilinear(
 ) -> np.ndarray:
     """The symmetric term U(x, y) over the m basis, summed over the table entries."""
     i, j, k, u, _ = _entries(sc, mb, spec)
-    x, y = _coords(mb, x), _coords(mb, y)
-    return np.bincount(k, weights=u * x[i] * y[j], minlength=mb.dim).astype(float, copy=False)
+    return _contract(mb, i, j, k, u, x, y)
 
 
 def nabla(
@@ -172,8 +162,7 @@ def nabla(
 ) -> np.ndarray:
     """Covariant derivative nabla_x y at the base point, in m coordinates."""
     i, j, k, _, gamma = _entries(sc, mb, spec)
-    x, y = _coords(mb, x), _coords(mb, y)
-    return np.bincount(k, weights=gamma * x[i] * y[j], minlength=mb.dim).astype(float, copy=False)
+    return _contract(mb, i, j, k, gamma, x, y)
 
 
 def assemble_tensor(sc: StructureConstants, mb: MBasis, spec: MetricSpec) -> ConnectionTensor:

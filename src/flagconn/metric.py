@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chevalley import KillingForm, build_m_basis
-from .errors import ConfigurationError, DimensionError
-from .rootsys import Coords, RootSystem
+from .chevalley import KillingForm, _coords, build_m_basis
+from .errors import ConfigurationError
+from .rootsys import Coords, RootSystem, _one_system
 
 
 def _coefficients(rs: RootSystem, values: tuple) -> np.ndarray:
@@ -70,6 +70,7 @@ class MetricGram:
 
 def build_metric(rs: RootSystem, killing: KillingForm, spec: MetricSpec) -> MetricGram:
     """Gram matrix with entry c_a * (-B)(e, e) at each basis slot of m^a."""
+    _one_system("root system and the Killing form", rs, killing.rs)
     c = _coefficients(rs, tuple(map(spec.coeffs.get, rs.positive_roots)))
     # (-B)(U_a, U_a) = (-B)(V_a, V_a) = 2 B(E_a, E_{-a}); E_{-a} sits |roots+| after E_a
     block = 2.0 * np.diagonal(killing.gram, len(c))[rs.rank:]
@@ -78,8 +79,5 @@ def build_metric(rs: RootSystem, killing: KillingForm, spec: MetricSpec) -> Metr
 
 def inner(gram: MetricGram, x: np.ndarray, y: np.ndarray) -> float:
     """Evaluate the metric on two m coordinate vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != gram.diagonal.shape or y.shape != gram.diagonal.shape:
-        raise DimensionError("vector length does not match the Gram matrix")
+    x, y = _coords(gram.mbasis, x), _coords(gram.mbasis, y)
     return float(np.sum(gram.diagonal * x * y))

@@ -5,9 +5,9 @@ The oracle solves the defining linear condition
     2 g(U(X, Y), Z) = g(X, [Z, Y]_m) + g([Z, X]_m, Y)   for all Z in m
 
 coordinate by coordinate, which is immediate because the Gram matrix is
-diagonal on the m basis. It shares only the m-bracket entries with the
-closed form and never its weights, so agreement between the two is a
-genuine check of the closed form. Both vanish off the bracket keys, so they
+diagonal on the m basis. It shares only the m-bracket entries and their
+contraction against x_i y_j with the closed form, never its weights, so
+agreement between the two is a genuine check of the closed form. Both vanish off the bracket keys, so they
 are compared entry by entry on those keys, without a dense array.
 """
 
@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chevalley import MBasis, StructureConstants, killing_gram, m_bracket_entries
-from .connection import ConnectionTensor, _coords, _entries
-from .errors import DimensionError
+from .chevalley import MBasis, StructureConstants, _contract, killing_gram, m_bracket_entries
+from .connection import ConnectionTensor, _entries
 from .metric import MetricGram, MetricSpec, build_metric
-from .rootsys import RootSystem, abs_root, negate
+from .rootsys import RootSystem, _one_system, abs_root, negate
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -102,10 +101,9 @@ def u_oracle(
     y: np.ndarray,
 ) -> np.ndarray:
     """U(x, y) solved from the defining condition: _oracle_entries summed against x_i y_j."""
-    x, y = _coords(gram.mbasis, x), _coords(gram.mbasis, y)
+    _one_system("root system and the structure constants", rs, sc.rs)
     i, j, k, _ = m_bracket_entries(sc, gram.mbasis)
-    # with no entries (A1) bincount counts in integers
-    return np.bincount(k, _oracle_entries(sc, gram) * x[i] * y[j], len(x)).astype(float, copy=False)
+    return _contract(gram.mbasis, i, j, k, _oracle_entries(sc, gram), x, y)
 
 
 def check_oracle_equivalence(
@@ -140,8 +138,7 @@ def check_metric_compat(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
     """g(nabla_{e_i} e_j, e_k) + g(e_j, nabla_{e_i} e_k) must vanish."""
-    if gram.mbasis.rs is not tensor.mbasis.rs:
-        raise DimensionError("the tensor and the Gram matrix belong to different systems")
+    _one_system("tensor and the Gram matrix", tensor.mbasis.rs, gram.mbasis.rs)
     weighted = tensor.gamma * gram.diagonal[None, None, :]
     res = weighted + weighted.transpose(0, 2, 1)
     return _residual_report("metric-compatibility", np.abs(res, out=res), tolerance)

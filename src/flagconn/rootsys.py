@@ -77,7 +77,7 @@ class RootSystem:
     all_roots: frozenset[Coords]
     sum_table: MappingProxyType[tuple[Coords, Coords], Coords]
     pairing_matrix: tuple[tuple[int, ...], ...]
-    norm_table: MappingProxyType[Coords, int]
+    norm_table: MappingProxyType[Coords, int]  # scaled squared length (root, root); exact integer
 
     def is_positive(self, v: Coords) -> bool:
         """Lexicographic positivity of a lattice vector."""
@@ -87,13 +87,9 @@ class RootSystem:
         return False
 
     def pairing(self, v: Coords, i: int) -> int:
-        """<v, alpha_i^vee> for a lattice vector v."""
+        """<v, alpha_i^vee> for a lattice vector v; on a root, the eigenvalue of ad H_i."""
         col = self.pairing_matrix
         return sum(v[j] * col[j][i] for j in range(self.rank))
-
-    def norm2(self, root: Coords) -> int:
-        """Scaled squared length (root, root); exact integer."""
-        return self.norm_table[root]
 
 
 def _generate_positive(pairing, simple: tuple[Coords, ...]) -> set[Coords]:
@@ -165,6 +161,17 @@ def _root_system(fam: str, rank: int) -> RootSystem:
     )
 
 
+def _check_roots(rs: RootSystem, *roots: Coords) -> None:
+    if not all(r in rs.all_roots for r in roots):
+        raise DomainError(f"arguments must be roots of {rs.family}{rs.rank}")
+
+
+def _one_system(what: str, a: RootSystem, b: RootSystem) -> None:
+    """Refuse objects built on two systems, also when their dimensions agree."""
+    if a is not b:
+        raise DimensionError(f"the {what} belong to different systems")
+
+
 def lex_compare(rs: RootSystem, gamma: Coords, delta: Coords) -> int:
     """-1, 0 or 1 as gamma <, =, > delta in the lexicographic order.
 
@@ -187,6 +194,5 @@ def abs_root(rs: RootSystem, gamma: Coords) -> Coords:
 
 def root_sum(rs: RootSystem, alpha: Coords, beta: Coords) -> Coords | None:
     """alpha + beta when it is a root, else None (zero is never a root)."""
-    if alpha not in rs.all_roots or beta not in rs.all_roots:
-        raise DomainError(f"arguments must be roots of {rs.family}{rs.rank}")
+    _check_roots(rs, alpha, beta)
     return rs.sum_table.get((alpha, beta))

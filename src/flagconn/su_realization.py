@@ -34,7 +34,6 @@ import numpy as np
 
 from .chevalley import (
     LieElement,
-    MBasis,
     StructureConstants,
     _adjoint,
     build_m_basis,
@@ -148,7 +147,6 @@ class SuAlignment:
 
     n: int
     rs: RootSystem
-    mb: MBasis
     signs: MappingProxyType[Coords, int]
     coord_signs: np.ndarray
 
@@ -174,20 +172,6 @@ class SuAlignment:
         return self.coord_signs * np.asarray(coords, dtype=float)
 
 
-def _matrix_n(a: EpsRoot, b: EpsRoot) -> int:
-    """Structure constant of [e_a, e_b] on the matrix-unit basis.
-
-    [e_pq, e_rs] = delta(q, r) e_ps - delta(s, p) e_rq; valid when a + b is
-    again a root, so at most one delta fires.
-    """
-    val = 0
-    if a.j == b.i and a.i != b.j:
-        val += 1
-    if b.j == a.i and b.i != a.j:
-        val -= 1
-    return val
-
-
 @functools.lru_cache(maxsize=None)
 def build_alignment(n: int) -> SuAlignment:
     """Compute the signed basis isomorphism for A_n once.
@@ -198,7 +182,6 @@ def build_alignment(n: int) -> SuAlignment:
     """
     rs = build_root_system("A", n)
     sc = chevalley_constants(rs)
-    mb = build_m_basis(rs)
     signs: dict[Coords, int] = {}
     for alpha in sorted(rs.positive_roots, key=sum):
         if sum(alpha) == 1:
@@ -208,7 +191,9 @@ def build_alignment(n: int) -> SuAlignment:
             beta = tuple(a - b for a, b in zip(alpha, simple))
             if beta in rs.all_roots and rs.is_positive(beta):
                 n_abs = sc.n(beta, simple)
-                n_mat = _matrix_n(simple_to_eps(n, beta), simple_to_eps(n, simple))
+                e_b, e_s = (matrix_unit(n, *simple_to_eps(n, r)) for r in (beta, simple))
+                i, j = simple_to_eps(n, alpha)
+                n_mat = int((e_b @ e_s - e_s @ e_b)[i - 1, j - 1].real)  # [e_b, e_s] = N' e_ij
                 assert abs(n_abs) == abs(n_mat) == 1
                 # bracket preservation: N(beta, s) * lambda_alpha = lambda_beta * N'(beta, s)
                 signs[alpha] = signs[beta] * n_mat * n_abs
@@ -217,17 +202,16 @@ def build_alignment(n: int) -> SuAlignment:
             raise AssertionError(f"no simple summand found for {alpha}")
     coord_signs = np.repeat([signs[alpha] for alpha in rs.positive_roots], 2).astype(float)
     coord_signs.flags.writeable = False  # shared through the cache
-    return SuAlignment(n=n, rs=rs, mb=mb, signs=MappingProxyType(signs), coord_signs=coord_signs)
+    return SuAlignment(n=n, rs=rs, signs=MappingProxyType(signs), coord_signs=coord_signs)
 
 
 def _validated_coeffs(n: int, coeffs) -> np.ndarray:
     """The symmetric coefficient matrix; its diagonal of ones only meets zero entries."""
     out = np.ones((n + 1, n + 1))
     for r in positive_eps_roots(n):
-        key = r if r in coeffs else (r.i, r.j)
-        if key not in coeffs:
+        if r not in coeffs:  # an EpsRoot equals and hashes like its bare (i, j)
             raise ConfigurationError(f"missing coefficient for eps root {tuple(r)}")
-        c = float(coeffs[key])
+        c = float(coeffs[r])
         if not (c > 0 and np.isfinite(c)):
             raise ConfigurationError(
                 f"coefficient for eps root {tuple(r)} must be positive and finite"

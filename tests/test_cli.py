@@ -1,11 +1,13 @@
 """CLI configuration, serialization, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flagconn.cli
@@ -325,3 +327,45 @@ def test_cli_imports_neither_fractions_nor_decimal():
                                   capture_output=True, text=True).stdout.split())
 
     assert not {"fractions", "decimal"} & (modules("flagconn.cli") - modules())
+
+
+# SHA-256 of the basis, tensor and meta of each --checks all document. A change
+# that keeps the results keeps these bytes; one that means to alter them records
+# new digests and says why. The residuals stay out: u_sun's einsum sums may round
+# differently on another CPU, while the tensor comes from elementwise IEEE
+# arithmetic only.
+CLI_DOCUMENT_DIGESTS = [
+    ("A", 3, True,
+     "78a8c3498d70e9c837edbd69179dc9aec6d896ddb57bd6e06f01c81c2cf10f48"),
+    ("A", 4, True,
+     "3ca705b667dda342f6f96befa4eb8270f4d9b115c9cba5b19876903e04c78f08"),
+    ("A", 4, False,
+     "a3e7695b68a60cf56b1301d4d7185b95600f51376df0a032164b0495ccc9fe1e"),
+    ("B", 3, True,
+     "52251d36337b0a7938f04cbf171e9763b7c8ea285c4fcbad91378b2d81e51e50"),
+    ("C", 3, True,
+     "5c94c8a6311be157e7965f3bbc8da578b61723856dc4fd6c46020ed02b3d5f43"),
+    ("D", 4, True,
+     "509dea6142270626e12527d67dd153535b5687384e45ffb0c5978281c691edd3"),
+]
+
+
+@pytest.mark.parametrize("job", range(len(CLI_DOCUMENT_DIGESTS)),
+                         ids=["A3", "A4", "A4-normal", "B3", "C3", "D4"])
+def test_cli_documents_are_byte_identical_to_the_recorded_ones(tmp_path, job):
+    family, rank, drawn, digest = CLI_DOCUMENT_DIGESTS[job]
+    coeffs = "normal"
+    if drawn:
+        roots = build_root_system(family, rank).positive_roots
+        c = np.exp(np.random.default_rng(job).uniform(np.log(0.1), np.log(10.0), len(roots)))
+        # rounded, so that an exp that differs in its last bit on another CPU draws the same file
+        entries = [{"root": list(a), "c": v} for a, v in zip(roots, np.round(c, 9).tolist())]
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps(entries))
+    code, out = run_cli(tmp_path, "--family", family, "--rank", str(rank), "--coeffs",
+                        str(coeffs), "--checks", "all", "--format", "json")
+    payload = json.loads(out.read_text())
+    assert code == EXIT_OK and all(check["passed"] for check in payload["checks"])
+    document = json.dumps({key: payload[key] for key in ("basis", "tensor", "meta")},
+                          sort_keys=True)
+    assert hashlib.sha256(document.encode()).hexdigest() == digest

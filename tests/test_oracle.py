@@ -1,23 +1,33 @@
 """The brute-force U solver and the verification reports."""
 
+import ast
 import dataclasses
+import inspect
+import textwrap
 import types
 
 import numpy as np
 import pytest
 
+import flagconn.chevalley
+import flagconn.oracle
+import flagconn.su_realization
 from flagconn import (
     ConnectionTensor,
     DimensionError,
+    DomainError,
     MetricSpec,
     assemble_tensor,
     build_metric,
     check_lemma2,
     check_metric_compat,
     check_oracle_equivalence,
+    check_su_crosscheck,
     check_torsion,
+    killing_gram,
     nabla,
     negate,
+    project_m,
     u_oracle,
 )
 from conftest import RANK_LE_4, pipeline, random_metric, random_mvector
@@ -204,3 +214,51 @@ def test_a_basis_tensor_or_gram_from_another_system_is_a_dimension_error():
         assemble_tensor(a2.sc, a3.mb, MetricSpec.normal(a2.rs))
     with pytest.raises(DimensionError):
         check_torsion(a2_tensor, a3.sc)
+
+
+@pytest.mark.parametrize("case", ["build_metric-B2-C2", "build_metric-A3-A2", "killing_gram",
+                                  "oracle-equivalence", "su-crosscheck", "u_oracle", "project_m"])
+def test_an_object_from_another_system_is_refused(case):
+    a2, a3, b2, c2 = (pipeline(*s) for s in (("A", 2), ("A", 3), ("B", 2), ("C", 2)))
+    normal = MetricSpec.normal
+    b2_gram, x = build_metric(b2.rs, b2.killing, normal(b2.rs)), np.ones(8)
+    error, call = {
+        "build_metric-B2-C2": (DimensionError,
+                               lambda: build_metric(b2.rs, c2.killing, normal(b2.rs))),
+        "build_metric-A3-A2": (DimensionError,
+                               lambda: build_metric(a3.rs, a2.killing, normal(a3.rs))),
+        "killing_gram": (DimensionError, lambda: killing_gram(b2.rs, c2.sc)),
+        "oracle-equivalence": (DimensionError,
+                               lambda: check_oracle_equivalence(b2.rs, c2.sc, normal(b2.rs))),
+        "su-crosscheck": (DimensionError, lambda: check_su_crosscheck(a3.rs, a2.sc, normal(a3.rs))),
+        "u_oracle": (DimensionError, lambda: u_oracle(c2.rs, b2.sc, b2_gram, x, x)),
+        # (1, 2) is a root of B2 and not of C2
+        "project_m": (DomainError, lambda: project_m(c2.mb, b2.mb.u_vec((1, 2)))),
+    }[case]
+    with pytest.raises(error):
+        call()
+
+
+def _names(fn) -> set:
+    """Every name, attribute and argument that the source of ``fn`` spells out."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)})
+
+
+def test_the_oracle_and_u_sun_share_no_formula_with_the_closed_form():
+    """The oracle and u_sun are independent routes to U: they name none of the closed
+    form's weights, its metric spec or its coefficient check, nor the pipeline's code."""
+    closed_form = {"_entries", "_gamma_entries", "_coefficients", "spec"}
+    for fn in (flagconn.oracle._oracle_entries, flagconn.oracle.u_oracle,
+               flagconn.oracle._transposed, flagconn.chevalley._contract):
+        assert not _names(fn) & closed_form, fn.__name__
+    su = ast.parse(inspect.getsource(flagconn.su_realization))
+    pipeline_names = {alias.asname or alias.name for node in su.body
+                      if isinstance(node, ast.ImportFrom) and node.level == 1
+                      and node.module in ("chevalley", "connection", "metric")
+                      for alias in node.names}
+    assert {"_adjoint", "_entries", "MetricSpec"} <= pipeline_names
+    for fn in (flagconn.su_realization.u_sun, flagconn.su_realization._validated_coeffs):
+        assert not _names(fn) & pipeline_names, fn.__name__

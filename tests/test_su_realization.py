@@ -203,7 +203,7 @@ def test_u_sun_all_pairs_memory_stays_below_one_index_triple_array():
     al = build_alignment(n)
     coeffs = {tuple(r): 1.0 + k for k, r in enumerate(positive_eps_roots(n))}
     e = np.diag(al.coord_signs)
-    triple_array_bytes = al.mb.dim ** 2 * (n + 1) ** 3 * np.dtype(complex).itemsize
+    triple_array_bytes = (n * (n + 1)) ** 2 * (n + 1) ** 3 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         u_sun(n, coeffs, e[:, None, :], e[None, :, :])
@@ -293,7 +293,7 @@ def test_u_su3_equals_u_sun():
         )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_su_exact_checks_are_judged_exactly(n):
     pl = pipeline("A", n)
     reports = {r.check_name: r for r in check_su_crosscheck(pl.rs, pl.sc, random_metric(pl.rs, n))}
