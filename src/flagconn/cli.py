@@ -102,11 +102,11 @@ def metric_spec_from_config(rs, coefficients) -> MetricSpec:
 
 
 def tensor_triples(tensor: ConnectionTensor) -> list[dict]:
-    """Sparse listing of tensor entries above SPARSE_THRESHOLD in magnitude."""
-    gamma = tensor.gamma
-    index = np.nonzero(np.abs(gamma) > SPARSE_THRESHOLD)
+    """Sparse listing of tensor entries above SPARSE_THRESHOLD in magnitude, row-major."""
+    *index, values = tensor._nonzeros()
+    keep = np.abs(values) > SPARSE_THRESHOLD
     return [{"i": i, "j": j, "k": k, "value": v}
-            for i, j, k, v in zip(*(a.tolist() for a in index), gamma[index].tolist())]
+            for i, j, k, v in zip(*(a[keep].tolist() for a in (*index, values)))]
 
 
 def write_report(path: str, payload: dict) -> None:
@@ -126,15 +126,14 @@ def write_tensor(path: str, triples: list[dict]) -> None:
 
 
 def read_tensor(path: str) -> tuple[ConnectionTensor, dict]:
-    """Load a JSON document back into a dense tensor plus the raw payload."""
+    """Load a JSON document back into a tensor on its entries plus the raw payload."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     rs = build_root_system(payload["meta"]["family"], payload["meta"]["rank"])
     mb = build_m_basis(rs)
-    gamma = np.zeros((mb.dim, mb.dim, mb.dim))
-    for t in payload["tensor"]:
-        gamma[t["i"], t["j"], t["k"]] = t["value"]
-    return ConnectionTensor(mbasis=mb, gamma=gamma), payload
+    rows = np.array([[t["i"], t["j"], t["k"], t["value"]] for t in payload["tensor"]], dtype=float)
+    *index, values = rows.reshape(-1, 4).T
+    return ConnectionTensor._from_entries(mb, *(a.astype(int) for a in index), values), payload
 
 
 def run_job(config: JobConfig) -> int:

@@ -16,16 +16,16 @@ formula therefore weights the table entry by entry:
 where |i| is the positive root whose block holds e_i. The entries (i, j, k) of
 U and of gamma = T / 2 + U, on the sorted keys of the bracket entries, are
 computed once per metric, which is validated then; a point query sums them
-against x_i y_j (chevalley._contract), and only the public assemble_tensor
-scatters them into a dense array. The brute-force oracle module checks the u
-weights entry by entry against the defining linear condition of U and shares
-only the bracket entries and their contraction with this module.
+against x_i y_j (chevalley._contract), and assemble_tensor holds them in a
+ConnectionTensor, dense only when its gamma is read. The oracle module checks
+the u weights entry by entry against the defining linear condition of U and
+shares only the bracket entries and their contraction with this module.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,10 +45,36 @@ from .rootsys import Coords, RootSystem, _check_roots, abs_root, add_roots, nega
 
 @dataclass(frozen=True, eq=False)
 class ConnectionTensor:
-    """Dense coefficients gamma[i, j, k] of nabla_{e_i} e_j over the m basis."""
+    """Coefficients gamma[i, j, k] of nabla_{e_i} e_j over the m basis.
+
+    One from assemble_tensor or cli.read_tensor holds ``entries``, arrays (i, j, k,
+    value), and scatters its read-only dense ``gamma`` on first read. One built from a
+    dense ``gamma``, also through dataclasses.replace, is read through its nonzeros.
+    """
 
     mbasis: MBasis
-    gamma: np.ndarray
+    gamma: np.ndarray = field(repr=False)  # a repr must not scatter a dim^3 array
+    entries = None  # not a field, so dataclasses.replace(tensor, gamma=...) drops it
+
+    @classmethod
+    def _from_entries(cls, mb: MBasis, *entries) -> "ConnectionTensor":
+        tensor = object.__new__(cls)
+        vars(tensor).update(mbasis=mb, entries=entries)
+        return tensor
+
+    def __getattr__(self, name):  # not found otherwise: gamma of a tensor before its first read
+        if name != "gamma" or self.entries is None:
+            raise AttributeError(name)
+        gamma = vars(self)["gamma"] = _scatter(self.mbasis, *self.entries)
+        gamma.flags.writeable = False  # a write would drift from the entries
+        return gamma
+
+    def _nonzeros(self):
+        """The entries, or the nonzeros of the dense gamma as it reads now."""
+        if self.entries is not None:
+            return self.entries
+        index = np.nonzero(self.gamma)
+        return *index, self.gamma[index]
 
 
 def canonical_pair(rs: RootSystem, alpha: Coords, beta: Coords) -> tuple[Coords, Coords]:
@@ -166,6 +192,6 @@ def nabla(
 
 
 def assemble_tensor(sc: StructureConstants, mb: MBasis, spec: MetricSpec) -> ConnectionTensor:
-    """Materialize nabla over all basis pairs as a dense 3-index array."""
+    """nabla over all basis pairs: Γ's entries on the m-bracket keys."""
     i, j, k, _, gamma = _entries(sc, mb, spec)
-    return ConnectionTensor(mbasis=mb, gamma=_scatter(mb, i, j, k, gamma))
+    return ConnectionTensor._from_entries(mb, i, j, k, gamma)

@@ -8,6 +8,7 @@ form; no generality is lost.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -68,13 +69,24 @@ class MetricGram:
     diagonal: np.ndarray
 
 
-def build_metric(rs: RootSystem, killing: KillingForm, spec: MetricSpec) -> MetricGram:
-    """Gram matrix with entry c_a * (-B)(e, e) at each basis slot of m^a."""
-    _one_system("root system and the Killing form", rs, killing.rs)
-    c = _coefficients(rs, tuple(map(spec.coeffs.get, rs.positive_roots)))
+@functools.lru_cache(maxsize=1, typed=True)  # keyed like connection._gamma_entries
+def _gram(rs: RootSystem, killing: KillingForm, *values) -> MetricGram:
+    c = _coefficients(rs, values)
     # (-B)(U_a, U_a) = (-B)(V_a, V_a) = 2 B(E_a, E_{-a}); E_{-a} sits |roots+| after E_a
     block = 2.0 * np.diagonal(killing.gram, len(c))[rs.rank:]
-    return MetricGram(mbasis=build_m_basis(rs), diagonal=np.repeat(c * block, 2))
+    diagonal = np.repeat(c * block, 2)
+    diagonal.flags.writeable = False  # shared through the cache
+    return MetricGram(mbasis=build_m_basis(rs), diagonal=diagonal)
+
+
+def build_metric(rs: RootSystem, killing: KillingForm, spec: MetricSpec) -> MetricGram:
+    """Gram matrix with entry c_a * (-B)(e, e) at each basis slot of m^a; the last is memoized."""
+    _one_system("root system and the Killing form", rs, killing.rs)
+    values = tuple(map(spec.coeffs.get, rs.positive_roots))
+    try:
+        return _gram(rs, killing, *values)
+    except TypeError:  # an unhashable value is no real number: the check raises
+        return _coefficients(rs, values)
 
 
 def inner(gram: MetricGram, x: np.ndarray, y: np.ndarray) -> float:

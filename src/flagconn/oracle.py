@@ -7,8 +7,9 @@ The oracle solves the defining linear condition
 coordinate by coordinate, which is immediate because the Gram matrix is
 diagonal on the m basis. It shares only the m-bracket entries and their
 contraction against x_i y_j with the closed form, never its weights, so
-agreement between the two is a genuine check of the closed form. Both vanish off the bracket keys, so they
-are compared entry by entry on those keys, without a dense array.
+agreement between the two is a genuine check of the closed form. Both vanish
+off the bracket keys, so they are compared entry by entry on those keys, and
+so are the torsion and metric residuals of a tensor, without a dense array.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chevalley import MBasis, StructureConstants, _contract, killing_gram, m_bracket_entries
+from .chevalley import (MBasis, StructureConstants, _contract, chevalley_constants, killing_gram,
+                        m_bracket_entries)
 from .connection import ConnectionTensor, _entries
 from .metric import MetricGram, MetricSpec, build_metric
 from .rootsys import RootSystem, _one_system, abs_root, negate
@@ -61,24 +63,50 @@ def _residual_report(name: str, residual: np.ndarray, threshold: float, keys=Non
     by the entry ``keys`` (arrays of (i, j, k)), None at zero or with nothing to compare."""
     if residual.size == 0:
         return _report(name, 0.0, threshold, None)
-    flat = int(np.argmax(residual))
+    flat = int(residual.argmax())
     worst = residual.flat[flat]
     at = np.unravel_index(flat, residual.shape) if keys is None else [a[flat] for a in keys]
     return _report(name, worst, threshold, None if worst == 0 else tuple(int(v) for v in at))
 
 
+# the rows of _transposed: the entries (k, j, i), (k, i, j), (j, i, k), (i, k, j) of (i, j, k)
+_PERMUTED = ((2, 1, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _transposed(sc: StructureConstants, mb: MBasis) -> np.ndarray:
-    """Rows: positions of the entries (k, j, i) and (k, i, j) of each bracket entry (i, j, k).
-    The keys are sorted and permutation-closed; a miss raises, never gathers a wrong entry."""
-    i, j, k, _ = m_bracket_entries(sc, mb)
-    ji = np.stack([j, i])
-    keys, want = (i * mb.dim + j) * mb.dim + k, (k * mb.dim + ji) * mb.dim + ji[::-1]
+    """Rows: positions of the _PERMUTED entries of each bracket entry (i, j, k). The keys
+    are sorted and permutation-closed; a miss raises, never gathers a wrong entry."""
+    ijk, shape = m_bracket_entries(sc, mb)[:3], (mb.dim,) * 3
+    keys = np.ravel_multi_index(ijk, shape)
+    want = np.stack([np.ravel_multi_index([ijk[p] for p in perm], shape) for perm in _PERMUTED])
     pos = np.searchsorted(keys, want)
     if not np.array_equal(np.take(keys, pos, mode="clip"), want):
         raise AssertionError("the m-bracket keys are not closed under permutation")
     pos.flags.writeable = False  # shared through the cache
     return pos
+
+
+def _on_keys(tensor: ConnectionTensor, sc: StructureConstants, row: int):
+    """Sorted keys (i, j, k) closed under the permutation of _transposed row ``row``, Γ and
+    T on them, and the position of each key's permutation. A tensor from assemble_tensor
+    is on the bracket keys; another is read through its nonzeros, merged with them."""
+    mb, perm = tensor.mbasis, _PERMUTED[row]
+    i, j, k, t = m_bracket_entries(sc, mb)
+    if tensor.entries is not None and tensor.entries[0] is i:
+        return (i, j, k), tensor.entries[3], t, _transposed(sc, mb)[row]
+    *index, values = tensor._nonzeros()
+    shape = (mb.dim,) * 3
+    bracket, given = np.ravel_multi_index((i, j, k), shape), np.ravel_multi_index(index, shape)
+    keys = np.concatenate([bracket, given, np.ravel_multi_index([index[p] for p in perm], shape)])
+    # sorted and deduplicated without np.unique, which imports numpy.ma (1.4 MB) on first use
+    keys = keys[np.argsort(keys, kind="stable")]
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    gamma, t_on = np.zeros(len(keys), dtype=values.dtype), np.zeros(len(keys))
+    gamma[np.searchsorted(keys, given)] = values
+    t_on[np.searchsorted(keys, bracket)] = t
+    at = np.unravel_index(keys, shape)
+    return at, gamma, t_on, np.searchsorted(keys, np.ravel_multi_index([at[p] for p in perm], shape))
 
 
 def _oracle_entries(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
@@ -89,7 +117,7 @@ def _oracle_entries(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
     only T and the Gram diagonal d, and vanishes off the bracket keys.
     """
     (i, j, k, t), d = m_bracket_entries(sc, gram.mbasis), gram.diagonal
-    kji, kij = _transposed(sc, gram.mbasis)
+    kji, kij = _transposed(sc, gram.mbasis)[:2]
     return (t[kji] * d[i] + t[kij] * d[j]) / (2.0 * d[k])
 
 
@@ -125,11 +153,11 @@ def check_torsion(
     sc: StructureConstants,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
-    """gamma[i,j,:] - gamma[j,i,:] must equal the coordinates of [e_i, e_j]_m."""
-    i, j, k, t = m_bracket_entries(sc, tensor.mbasis)
-    res = np.subtract(tensor.gamma, tensor.gamma.transpose(1, 0, 2), dtype=float)
-    res[i, j, k] -= t
-    return _residual_report("torsion", np.abs(res, out=res), tolerance)
+    """gamma[i,j,:] - gamma[j,i,:] must equal the coordinates of [e_i, e_j]_m; compared on
+    the keys where either side can be nonzero, a witness is the (i, j, k) of an entry."""
+    keys, gamma, t, ji = _on_keys(tensor, sc, 2)
+    res = np.abs(np.subtract(gamma, gamma[ji], dtype=float) - t)
+    return _residual_report("torsion", res, tolerance, keys)
 
 
 def check_metric_compat(
@@ -137,11 +165,13 @@ def check_metric_compat(
     gram: MetricGram,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
-    """g(nabla_{e_i} e_j, e_k) + g(e_j, nabla_{e_i} e_k) must vanish."""
+    """g(nabla_{e_i} e_j, e_k) + g(e_j, nabla_{e_i} e_k) must vanish; compared on the keys
+    where either term can be nonzero, a witness is the (i, j, k) of an entry."""
     _one_system("tensor and the Gram matrix", tensor.mbasis.rs, gram.mbasis.rs)
-    weighted = tensor.gamma * gram.diagonal[None, None, :]
-    res = weighted + weighted.transpose(0, 2, 1)
-    return _residual_report("metric-compatibility", np.abs(res, out=res), tolerance)
+    keys, gamma, _, ik = _on_keys(tensor, chevalley_constants(gram.mbasis.rs), 3)
+    weighted = gamma * gram.diagonal[keys[2]]
+    res = np.abs(weighted + weighted[ik])
+    return _residual_report("metric-compatibility", res, tolerance, keys)
 
 
 def check_lemma2(rs: RootSystem) -> CheckReport:

@@ -41,7 +41,7 @@ from .chevalley import (
     killing_gram,
 )
 from .connection import _entries
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DimensionError, DomainError
 from .metric import MetricSpec
 from .oracle import CheckReport, DEFAULT_TOLERANCE, _residual_report
 from .rootsys import Coords, RootSystem, build_root_system, negate
@@ -76,7 +76,7 @@ def eps_to_simple(n: int, r: EpsRoot) -> Coords:
 def simple_to_eps(n: int, root: Coords) -> EpsRoot:
     """Inverse of eps_to_simple."""
     if len(root) != n:
-        raise DomainError(f"expected {n} coordinates, got {len(root)}")
+        raise DimensionError(f"expected {n} coordinates, got {len(root)}")
     support = [s for s, c in enumerate(root, start=1) if c != 0]
     signs = {root[s - 1] for s in support}
     contiguous = support == list(range(support[0], support[0] + len(support))) if support else False
@@ -122,7 +122,7 @@ def su_from_coords(n: int, coords: np.ndarray) -> np.ndarray:
     basis = np.stack(su_m_basis(n))
     coords = np.asarray(coords, dtype=float)
     if coords.shape[-1:] != (len(basis),):
-        raise DomainError(f"expected {len(basis)} coordinates, got {coords.shape}")
+        raise DimensionError(f"expected {len(basis)} coordinates, got {coords.shape}")
     return np.tensordot(coords, basis, axes=1)
 
 

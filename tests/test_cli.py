@@ -297,7 +297,7 @@ def test_one_job_builds_each_table_once(tmp_path):
     assert code == EXIT_OK
     for cached in (flagconn.rootsys._root_system, flagconn.chevalley.chevalley_constants,
                    flagconn.chevalley._adjoint, flagconn.chevalley.m_bracket_entries,
-                   flagconn.connection._gamma_entries):
+                   flagconn.connection._gamma_entries, flagconn.metric._gram):
         assert cached.cache_info().misses == 1, cached.__name__
 
 

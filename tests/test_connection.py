@@ -312,6 +312,7 @@ def test_point_queries_validate_the_metric(a2, bad):
     # equal to its cached one (3 + 0j == 3.0) must not be taken for it
     coeffs = dict(zip(a2.rs.positive_roots, A2_C123))
     nabla(a2.sc, a2.mb, MetricSpec(dict(coeffs)), np.ones(a2.mb.dim), np.ones(a2.mb.dim))
+    build_metric(a2.rs, a2.killing, MetricSpec(dict(coeffs)))  # the Gram memo too
     if bad == "missing":
         del coeffs[(1, 1)]
     else:
@@ -323,6 +324,8 @@ def test_point_queries_validate_the_metric(a2, bad):
             fn(a2.sc, a2.mb, spec, x, x)
     with pytest.raises(ConfigurationError, match=r"\(1, 1\)"):
         assemble_tensor(a2.sc, a2.mb, spec)
+    with pytest.raises(ConfigurationError, match=r"\(1, 1\)"):
+        build_metric(a2.rs, a2.killing, spec)
 
 
 def test_metric_mutated_in_place_is_a_new_metric(b2):

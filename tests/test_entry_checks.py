@@ -1,13 +1,18 @@
 """The oracle and the torsion and metric checks read the m-bracket entries.
 
 Their tensors and reports equal, bit for bit, the dense transposed-table
-formulas they replace; they allocate no more dense dim^3 arrays than the
-residual needs; and no stage of the CLI reads the dense bracket table.
+formulas they replace, also on tensors built from a dense array; they and the
+CLI job allocate a small share of one dense dim^3 array; and no stage of the
+CLI reads the dense bracket table.
 """
 
+import dataclasses
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +22,17 @@ from flagconn import (
     MetricSpec,
     assemble_tensor,
     build_metric,
+    build_root_system,
+    chevalley_constants,
     check_metric_compat,
     check_oracle_equivalence,
     check_torsion,
+    killing_gram,
     m_bracket_table,
     u_oracle,
 )
 from flagconn.chevalley import _scatter, m_bracket_entries
+from flagconn.cli import JobConfig, read_tensor
 from flagconn.connection import _entries
 from flagconn.oracle import DEFAULT_TOLERANCE, _oracle_entries, _residual_report
 from conftest import RANK_LE_4, pipeline
@@ -72,6 +81,71 @@ def test_entry_checks_equal_dense_table_formulas(family, rank):
         assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
 
 
+def _dense_built(tensor, keys, variant):
+    """A tensor built from a dense array through dataclasses.replace, then changed."""
+    gamma = np.zeros(tensor.gamma.shape, dtype=int) if variant == "int-zero" else tensor.gamma.copy()
+    bad = dataclasses.replace(tensor, gamma=gamma)
+    # a slot with i > j whose (j, i, k) and (i, k, j) are off the bracket keys too
+    off = next((i, j, k) for i, j, k in np.ndindex(gamma.shape) if i > j
+               and not {(i, j, k), (j, i, k), (i, k, j)} & keys)
+    on = max(keys)  # on the keys, after its (j, i, k) in row-major order
+    if variant == "on-support":
+        bad.gamma[on] += 0.1
+    elif variant == "off-support":
+        bad.gamma[off] = 0.25
+    elif variant == "nan":
+        bad.gamma[on] = np.nan
+    return bad
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("C", 3), ("D", 4)])
+@pytest.mark.parametrize("variant", ["as-is", "on-support", "off-support", "int-zero", "nan"])
+def test_dense_built_tensors_are_checked_like_the_dense_formulas(family, rank, variant):
+    pl = pipeline(family, rank)
+    spec = list(_metrics(pl.rs))[1]
+    gram = build_metric(pl.rs, pl.killing, spec)
+    tensor = assemble_tensor(pl.sc, pl.mb, spec)
+    keys = set(zip(*(a.tolist() for a in m_bracket_entries(pl.sc, pl.mb)[:3])))
+    bad = _dense_built(tensor, keys, variant)
+    reports = [check_torsion(bad, pl.sc), check_metric_compat(bad, gram)]
+    expected = _dense_reports(pl, spec, bad, gram)[1:]
+    # repr: a NaN residual equals itself there
+    assert [repr(r.to_dict()) for r in reports] == [repr(r.to_dict()) for r in expected]
+    assert all(r.passed for r in reports) == (variant == "as-is")
+
+
+def test_a_pipeline_tensor_refuses_writes():
+    pl = pipeline("A", 3)
+    tensor = assemble_tensor(pl.sc, pl.mb, list(_metrics(pl.rs))[1])
+    with pytest.raises(ValueError):
+        tensor.gamma[0, 2, 4] += 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tensor.gamma = np.zeros_like(tensor.gamma)
+    assert np.array_equal(tensor.gamma, _scatter(pl.mb, *tensor.entries))
+
+
+@pytest.mark.parametrize("family,rank,vanished", [("A", 3, 32), ("C", 3, 80)])
+def test_a_document_without_its_vanished_entries_reads_back_to_the_same_reports(
+        family, rank, vanished, tmp_path):
+    # c_a = ht(a) makes (c_i - c_j) / (2 c_k) exactly 1/2 on some keys, so gamma is 0.0 there
+    rs = build_root_system(family, rank)
+    coeffs = [{"root": list(a), "c": float(sum(a))} for a in rs.positive_roots]
+    out = tmp_path / "height.json"
+    assert flagconn.cli.run_job(JobConfig(family, rank, coeffs, ("torsion", "metric"),
+                                          output_path=str(out))) == 0
+    tensor, payload = read_tensor(str(out))
+    sc, mb = chevalley_constants(rs), tensor.mbasis
+    assert len(payload["tensor"]) == len(m_bracket_entries(sc, mb)[0]) - vanished
+    spec = MetricSpec({tuple(e["root"]): e["c"] for e in coeffs})
+    gram = build_metric(rs, killing_gram(rs, sc), spec)
+    pipeline_tensor = assemble_tensor(sc, mb, spec)
+    for check, arg in ((check_torsion, sc), (check_metric_compat, gram)):
+        report = check(tensor, arg)
+        assert report.passed
+        assert report.to_dict() == check(pipeline_tensor, arg).to_dict()
+    assert np.array_equal(tensor.gamma, pipeline_tensor.gamma)
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -81,17 +155,45 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def test_checks_allocate_few_dense_arrays_at_a10():
+def test_checks_allocate_few_dense_arrays_at_a10(tmp_path):
     pl = pipeline("A", 10)
-    spec = list(_metrics(pl.rs))[1]
+    spec, other = list(_metrics(pl.rs))[1:3]
     gram = build_metric(pl.rs, pl.killing, spec)
     tensor = assemble_tensor(pl.sc, pl.mb, spec)  # warms the bracket and Γ entry caches
     dense = pl.mb.dim ** 3 * 8
     rng = np.random.default_rng(5)
     x, y = rng.normal(size=pl.mb.dim), rng.normal(size=pl.mb.dim)
     assert _peak_bytes(check_oracle_equivalence, pl.rs, pl.sc, spec) < 0.1 * dense
-    assert _peak_bytes(check_torsion, tensor, pl.sc) < 1.5 * dense
+    assert _peak_bytes(check_torsion, tensor, pl.sc) < 0.1 * dense
+    assert _peak_bytes(check_metric_compat, tensor, gram) < 0.1 * dense
+    assert _peak_bytes(assemble_tensor, pl.sc, pl.mb, other) < 0.1 * dense  # a new metric
     assert _peak_bytes(u_oracle, pl.rs, pl.sc, gram, x, y) < 0.1 * dense
+    # the job's document holds its 3960 triples as dicts, about 0.08 of a dense array
+    coeffs = [{"root": list(a), "c": c} for a, c in spec.coeffs.items()]
+    job = JobConfig("A", 10, coeffs, ("oracle", "torsion", "metric"),
+                    output_path=str(tmp_path / "a10.json"))
+    assert flagconn.cli.run_job(job) == 0  # warms the encoder
+    assert _peak_bytes(flagconn.cli.run_job, job) < 0.1 * dense
+
+
+def test_an_a20_job_peaks_below_300_mb(tmp_path):
+    src = str(Path(flagconn.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "flagconn.cli", "--family", "A", "--rank", "20",
+         "--checks", "oracle,torsion,metric", "--output", str(tmp_path / "a20.json")],
+        env=env, stdout=subprocess.DEVNULL)
+    try:
+        _, status, usage = os.wait4(child.pid, 0)
+    except BaseException:
+        child.kill()
+        child.wait()
+        raise
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
+    assert child.returncode == 0
+    # ru_maxrss is in kilobytes on Linux; it also counts the pages this process had when it
+    # spawned the child, so it bounds the child's peak from above. Dense Γ alone is 593 MB.
+    assert usage.ru_maxrss / 1024 < 300
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("C", 3)])

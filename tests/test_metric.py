@@ -102,3 +102,13 @@ def test_diagonal_equals_per_root_killing_construction(family, rank):
         for k, alpha in enumerate(pl.rs.positive_roots):
             expected[2 * k] = expected[2 * k + 1] = spec.c(alpha) * (2.0 * pl.killing.e_pair(alpha))
         assert np.array_equal(build_metric(pl.rs, pl.killing, spec).diagonal, expected)
+
+
+def test_the_gram_is_built_once_per_metric_and_read_only(a2):
+    spec = MetricSpec.from_values(a2.rs, [1.0, 2.0, 3.0])
+    gram = build_metric(a2.rs, a2.killing, spec)
+    assert build_metric(a2.rs, a2.killing, MetricSpec(dict(spec.coeffs))) is gram
+    with pytest.raises(ValueError):
+        gram.diagonal[0] = 1.0
+    other = build_metric(a2.rs, a2.killing, MetricSpec.from_values(a2.rs, [1.0, 2.0, 4.0]))
+    assert not np.array_equal(other.diagonal, gram.diagonal)

@@ -8,6 +8,7 @@ import pytest
 
 from flagconn import (
     ConfigurationError,
+    DimensionError,
     DomainError,
     EpsRoot,
     MetricSpec,
@@ -68,6 +69,15 @@ def test_eps_invalid_indices():
         eps_to_simple(2, EpsRoot(0, 2))
     with pytest.raises(DomainError):
         simple_to_eps(2, (1, -1))
+
+
+def test_a_wrong_coordinate_length_is_a_dimension_error():
+    with pytest.raises(DimensionError):
+        simple_to_eps(2, (1, 0, 0))
+    with pytest.raises(DimensionError):
+        su_from_coords(2, np.ones(5))
+    with pytest.raises(DimensionError):
+        su_from_coords(2, np.ones((3, 7)))
 
 
 def test_eps_order_compatibility():
