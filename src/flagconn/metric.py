@@ -3,7 +3,9 @@
 The metric is a positive weight c_a on each 2-dimensional block m^a against
 the negative of the Killing form. Because the blocks are mutually
 non-equivalent isotropy modules, every invariant metric is of this diagonal
-form; no generality is lost.
+form; no generality is lost. The Killing block norms 2 B(E_a, E_-a) are
+cached per system (_block_norms); per metric, the coefficients are checked once
+into one read-only array (_checked) that the Gram and the closed form share.
 """
 
 from __future__ import annotations
@@ -21,15 +23,22 @@ from .rootsys import Coords, RootSystem, _one_system
 
 def _coefficients(rs: RootSystem, values: tuple) -> np.ndarray:
     """``values`` (rs.positive_roots order, None if missing) checked real, positive, finite."""
-    c = np.array([v if type(v) is float or isinstance(v, numbers.Real) else np.nan
-                  for v in values], dtype=float)
-    ok = (c > 0) & np.isfinite(c)
-    if not ok.all():
-        bad = int(np.argmin(ok))  # the first failing root
-        alpha, v = rs.positive_roots[bad], values[bad]
-        raise ConfigurationError(
-            f"missing metric coefficient for root {alpha}" if v is None else
-            f"metric coefficient for root {alpha} must be positive and finite, got {v!r}")
+    c = np.array([v if type(v) is float or isinstance(v, numbers.Real) and type(v) is not bool
+                  else np.nan for v in values], dtype=float)  # a bool is no coefficient
+    if c[c.argmin()] > 0 and c[c.argmax()] < np.inf:  # min > 0 and max < inf; NaN is both
+        return c
+    bad = int(np.argmin((c > 0) & np.isfinite(c)))  # the first failing root
+    alpha, v = rs.positive_roots[bad], values[bad]
+    raise ConfigurationError(
+        f"missing metric coefficient for root {alpha}" if v is None else
+        f"metric coefficient for root {alpha} must be positive and finite, got {v!r}")
+
+
+@functools.lru_cache(maxsize=1, typed=True)  # typed: 3 + 0j must miss a cached 3.0
+def _checked(rs: RootSystem, *values) -> np.ndarray:
+    """The coefficients of one metric, checked once; read-only, shared through the cache."""
+    c = _coefficients(rs, values)
+    c.flags.writeable = False
     return c
 
 
@@ -42,17 +51,17 @@ class MetricSpec:
     @classmethod
     def normal(cls, rs: RootSystem, value: float = 1.0) -> "MetricSpec":
         """All coefficients equal: the normal (Killing) metric."""
-        return cls({alpha: float(value) for alpha in rs.positive_roots})
+        return cls(dict.fromkeys(rs.positive_roots, value))
 
     @classmethod
     def from_values(cls, rs: RootSystem, values) -> "MetricSpec":
-        """Coefficients listed in the order of rs.positive_roots."""
-        values = list(values)
+        """Coefficients in the order of rs.positive_roots, kept as given, checked where used."""
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
         if len(values) != len(rs.positive_roots):
             raise ConfigurationError(
                 f"expected {len(rs.positive_roots)} coefficients, got {len(values)}"
             )
-        return cls({a: float(v) for a, v in zip(rs.positive_roots, values)})
+        return cls(dict(zip(rs.positive_roots, values)))
 
     def c(self, alpha: Coords) -> float:
         return self.coeffs[alpha]
@@ -69,12 +78,17 @@ class MetricGram:
     diagonal: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def _block_norms(rs: RootSystem, killing: KillingForm) -> np.ndarray:
+    """(-B)(U_a, U_a) = (-B)(V_a, V_a) = 2 B(E_a, E_{-a}); E_{-a} sits |roots+| after E_a."""
+    norms = 2.0 * np.diagonal(killing.gram, len(rs.positive_roots))[rs.rank:]
+    norms.flags.writeable = False  # shared through the cache
+    return norms
+
+
 @functools.lru_cache(maxsize=1, typed=True)  # keyed like connection._gamma_entries
 def _gram(rs: RootSystem, killing: KillingForm, *values) -> MetricGram:
-    c = _coefficients(rs, values)
-    # (-B)(U_a, U_a) = (-B)(V_a, V_a) = 2 B(E_a, E_{-a}); E_{-a} sits |roots+| after E_a
-    block = 2.0 * np.diagonal(killing.gram, len(c))[rs.rank:]
-    diagonal = np.repeat(c * block, 2)
+    diagonal = np.repeat(_checked(rs, *values) * _block_norms(rs, killing), 2)
     diagonal.flags.writeable = False  # shared through the cache
     return MetricGram(mbasis=build_m_basis(rs), diagonal=diagonal)
 

@@ -10,6 +10,8 @@ contraction against x_i y_j with the closed form, never its weights, so
 agreement between the two is a genuine check of the closed form. Both vanish
 off the bracket keys, so they are compared entry by entry on those keys, and
 so are the torsion and metric residuals of a tensor, without a dense array.
+Per system it caches where each key's permutations sit (_transposed) and T
+there (_oracle_table); per metric it reads only the Gram diagonal.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .chevalley import (MBasis, StructureConstants, _contract, chevalley_constan
                         m_bracket_entries)
 from .connection import ConnectionTensor, _entries
 from .metric import MetricGram, MetricSpec, build_metric
-from .rootsys import RootSystem, _one_system, abs_root, negate
+from .rootsys import RootSystem, _one_system, negate
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -61,12 +63,11 @@ def _report(name: str, residual: float, threshold: float, witness) -> CheckRepor
 def _residual_report(name: str, residual: np.ndarray, threshold: float, keys=None) -> CheckReport:
     """Largest residual; witness: the first maximum or NaN, by row-major position or
     by the entry ``keys`` (arrays of (i, j, k)), None at zero or with nothing to compare."""
-    if residual.size == 0:
-        return _report(name, 0.0, threshold, None)
-    flat = int(residual.argmax())
-    worst = residual.flat[flat]
-    at = np.unravel_index(flat, residual.shape) if keys is None else [a[flat] for a in keys]
-    return _report(name, worst, threshold, None if worst == 0 else tuple(int(v) for v in at))
+    worst = residual.item(flat := int(residual.argmax())) if residual.size else 0.0
+    if worst == 0:  # no witness to build
+        return _report(name, worst, threshold, None)
+    at = np.unravel_index(flat, residual.shape) if keys is None else [a.item(flat) for a in keys]
+    return _report(name, worst, threshold, tuple([int(v) for v in at]))
 
 
 # the rows of _transposed: the entries (k, j, i), (k, i, j), (j, i, k), (i, k, j) of (i, j, k)
@@ -102,11 +103,20 @@ def _on_keys(tensor: ConnectionTensor, sc: StructureConstants, row: int):
     # sorted and deduplicated without np.unique, which imports numpy.ma (1.4 MB) on first use
     keys = keys[np.argsort(keys, kind="stable")]
     keys = keys[np.diff(keys, prepend=-1) > 0]
-    gamma, t_on = np.zeros(len(keys), dtype=values.dtype), np.zeros(len(keys))
+    # float also for an integer or bool dense gamma, so the checks subtract as floats
+    gamma, t_on = np.zeros(len(keys), np.promote_types(values.dtype, float)), np.zeros(len(keys))
     gamma[np.searchsorted(keys, given)] = values
     t_on[np.searchsorted(keys, bracket)] = t
     at = np.unravel_index(keys, shape)
     return at, gamma, t_on, np.searchsorted(keys, np.ravel_multi_index([at[p] for p in perm], shape))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_table(sc: StructureConstants, mb: MBasis) -> np.ndarray:
+    """Per system: rows T[k, j, i] and T[k, i, j] at each bracket key (i, j, k)."""
+    table = m_bracket_entries(sc, mb)[3][_transposed(sc, mb)[:2]]
+    table.flags.writeable = False  # shared through the cache
+    return table
 
 
 def _oracle_entries(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
@@ -116,9 +126,9 @@ def _oracle_entries(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
     / (2 d_k), that is (T[k, j, i] d_i + T[k, i, j] d_j) / (2 d_k). It reads
     only T and the Gram diagonal d, and vanishes off the bracket keys.
     """
-    (i, j, k, t), d = m_bracket_entries(sc, gram.mbasis), gram.diagonal
-    kji, kij = _transposed(sc, gram.mbasis)[:2]
-    return (t[kji] * d[i] + t[kij] * d[j]) / (2.0 * d[k])
+    (i, j, k, _), d = m_bracket_entries(sc, gram.mbasis), gram.diagonal
+    t_kji, t_kij = _oracle_table(sc, gram.mbasis)
+    return (t_kji * d[i] + t_kij * d[j]) / (2.0 * d[k])
 
 
 def u_oracle(
@@ -156,7 +166,7 @@ def check_torsion(
     """gamma[i,j,:] - gamma[j,i,:] must equal the coordinates of [e_i, e_j]_m; compared on
     the keys where either side can be nonzero, a witness is the (i, j, k) of an entry."""
     keys, gamma, t, ji = _on_keys(tensor, sc, 2)
-    res = np.abs(np.subtract(gamma, gamma[ji], dtype=float) - t)
+    res = np.abs(gamma - gamma[ji] - t)
     return _residual_report("torsion", res, tolerance, keys)
 
 
@@ -179,15 +189,20 @@ def check_lemma2(rs: RootSystem) -> CheckReport:
 
     Counts, among the four candidates (a,b), (b,a), (-a,-b), (-b,-a), those
     satisfying |first| < second; the check passes only if every count is
-    exactly one.
+    exactly one. With the roots ranked once, the tests compare integers over all
+    pairs at once, reading only ``rs.all_roots`` and ``rs.is_positive``.
     """
-    worst, witness = 0, None
-    for a in rs.all_roots:
-        for b in rs.all_roots:
-            if a == b or a == negate(b):
-                continue
-            count = sum(rs.is_positive(a2) and abs_root(rs, a1) < a2 for a1, a2 in
-                        ((a, b), (b, a), (negate(a), negate(b)), (negate(b), negate(a))))
-            if abs(count - 1) > worst:
-                worst, witness = abs(count - 1), (a, b)
-    return _report("lemma2-uniqueness", float(worst), 0.0, witness)
+    roots = list(rs.all_roots)  # pairs row-major: the order of a loop over all_roots twice
+    n = len(roots)
+    rank = np.argsort(sorted(range(n), key=roots.__getitem__))
+    rank = np.stack((rank, n - 1 - rank))  # of r and of -r: negation reverses the order
+    positive = np.array([[rs.is_positive(s) for s in (r, negate(r))] for r in roots]).T
+    abs_rank = np.where(positive, rank, rank[::-1])  # the rank of |r| and of |-r|
+    a, b = np.ogrid[:n, :n]
+    # (a, b) and (b, a) in row 0 of rank and positive, (-a, -b) and (-b, -a) in row 1
+    count = sum(positive[s, y] & (abs_rank[s, x] < rank[s, y])
+                for s in (0, 1) for x, y in ((a, b), (b, a)))
+    dev = np.where((a == b) | (rank[0, a] == rank[1, b]), 0, np.abs(count - 1))
+    x, y = np.unravel_index(dev.argmax(), dev.shape)  # the first worst pair
+    witness = (roots[x], roots[y]) if dev[x, y] else None
+    return _report("lemma2-uniqueness", dev[x, y], 0.0, witness)

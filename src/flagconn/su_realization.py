@@ -26,6 +26,7 @@ entries are subtracted from u_sun's all-pairs output at their keys.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -211,11 +212,11 @@ def _validated_coeffs(n: int, coeffs) -> np.ndarray:
     for r in positive_eps_roots(n):
         if r not in coeffs:  # an EpsRoot equals and hashes like its bare (i, j)
             raise ConfigurationError(f"missing coefficient for eps root {tuple(r)}")
-        c = float(coeffs[r])
+        c = coeffs[r]  # a bool is an int, but no coefficient
+        c = float(c) if isinstance(c, numbers.Real) and not isinstance(c, bool) else np.nan
         if not (c > 0 and np.isfinite(c)):
-            raise ConfigurationError(
-                f"coefficient for eps root {tuple(r)} must be positive and finite"
-            )
+            raise ConfigurationError(f"coefficient for eps root {tuple(r)} must be a positive, "
+                                     f"finite real number, got {coeffs[r]!r}")
         out[r.i - 1, r.j - 1] = out[r.j - 1, r.i - 1] = c
     return out
 

@@ -297,7 +297,9 @@ def test_one_job_builds_each_table_once(tmp_path):
     assert code == EXIT_OK
     for cached in (flagconn.rootsys._root_system, flagconn.chevalley.chevalley_constants,
                    flagconn.chevalley._adjoint, flagconn.chevalley.m_bracket_entries,
-                   flagconn.connection._gamma_entries, flagconn.metric._gram):
+                   flagconn.connection._closed_form_table, flagconn.connection._gamma_entries,
+                   flagconn.metric._block_norms, flagconn.metric._checked, flagconn.metric._gram,
+                   flagconn.oracle._transposed, flagconn.oracle._oracle_table):
         assert cached.cache_info().misses == 1, cached.__name__
 
 

@@ -34,7 +34,7 @@ from flagconn import (
 from flagconn.chevalley import _scatter, m_bracket_entries
 from flagconn.cli import JobConfig, read_tensor
 from flagconn.connection import _entries
-from flagconn.oracle import DEFAULT_TOLERANCE, _oracle_entries, _residual_report
+from flagconn.oracle import DEFAULT_TOLERANCE, _oracle_entries, _residual_report, _transposed
 from conftest import RANK_LE_4, pipeline
 
 
@@ -67,18 +67,33 @@ def _dense_reports(pl, spec, tensor, gram):
 
 @pytest.mark.parametrize("family,rank", RANK_LE_4 + [("A", 6)])
 def test_entry_checks_equal_dense_table_formulas(family, rank):
+    """Γ, u, the Gram diagonal and the oracle's entries equal, bit for bit, the formulas
+    written straight from the coefficients, the bracket entries and the Killing form, with
+    nothing cached per system; the reports equal those formulas' and the dense ones'."""
     pl = pipeline(family, rank)
+    i, j, k, t = m_bracket_entries(pl.sc, pl.mb)
+    kji, kij, ji, ik = _transposed(pl.sc, pl.mb)
+    npos = len(pl.rs.positive_roots)
     for spec in _metrics(pl.rs):
-        gram = build_metric(pl.rs, pl.killing, spec)
-        tensor = assemble_tensor(pl.sc, pl.mb, spec)
-        i, j, k, _ = m_bracket_entries(pl.sc, pl.mb)
-        assert np.array_equal(_scatter(pl.mb, i, j, k, _oracle_entries(pl.sc, gram)),
-                              _dense_oracle_tensor(m_bracket_table(pl.sc, pl.mb), gram.diagonal))
-        reports = [check_oracle_equivalence(pl.rs, pl.sc, spec),
-                   check_torsion(tensor, pl.sc),
+        values = np.array([spec.c(a) for a in pl.rs.positive_roots], dtype=float)
+        c = np.repeat(values, 2)
+        u = (c[i] - c[j]) / (2.0 * c[k]) * -t
+        gamma = 0.5 * t + u
+        d = np.repeat(values * 2.0 * np.diagonal(pl.killing.gram, npos)[pl.rs.rank:], 2)
+        oracle = (t[kji] * d[i] + t[kij] * d[j]) / (2.0 * d[k])
+        tensor, gram = assemble_tensor(pl.sc, pl.mb, spec), build_metric(pl.rs, pl.killing, spec)
+        got = _entries(pl.sc, pl.mb, spec)[3:] + (gram.diagonal, _oracle_entries(pl.sc, gram))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in (u, gamma, d, oracle)]
+        assert np.array_equal(_scatter(pl.mb, i, j, k, oracle),
+                              _dense_oracle_tensor(m_bracket_table(pl.sc, pl.mb), d))
+        weighted = gamma * d[k]
+        expected = [_residual_report(name, res, DEFAULT_TOLERANCE, (i, j, k)) for name, res in (
+            ("oracle-equivalence", np.abs(u - oracle)),
+            ("torsion", np.abs(np.subtract(gamma, gamma[ji], dtype=float) - t)),
+            ("metric-compatibility", np.abs(weighted + weighted[ik])))]
+        reports = [check_oracle_equivalence(pl.rs, pl.sc, spec), check_torsion(tensor, pl.sc),
                    check_metric_compat(tensor, gram)]
-        expected = _dense_reports(pl, spec, tensor, gram)
-        assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
+        assert reports == expected == _dense_reports(pl, spec, tensor, gram)
 
 
 def _dense_built(tensor, keys, variant):

@@ -1,14 +1,23 @@
 """Invariant metric Gram matrices and inner products."""
 
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import flagconn.metric
 from flagconn import (
     ConfigurationError,
     DimensionError,
     MetricSpec,
+    assemble_tensor,
     build_metric,
+    check_metric_compat,
+    check_oracle_equivalence,
+    check_torsion,
     inner,
+    nabla,
 )
 from conftest import RANK_LE_4, pipeline, random_metric, random_mvector
 
@@ -112,3 +121,61 @@ def test_the_gram_is_built_once_per_metric_and_read_only(a2):
         gram.diagonal[0] = 1.0
     other = build_metric(a2.rs, a2.killing, MetricSpec.from_values(a2.rs, [1.0, 2.0, 4.0]))
     assert not np.array_equal(other.diagonal, gram.diagonal)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "2.0", 2j, np.complex128(3.0)],
+                         ids=["bool", "numpy-bool", "string", "complex", "numpy-complex"])
+def test_a_coefficient_is_a_real_number_and_no_bool(a2, bad):
+    # the CLI refuses "c": true; the library applies the same rule on every route
+    coeffs = {alpha: 1.0 for alpha in a2.rs.positive_roots}
+    coeffs[(1, 0)] = bad
+    specs = [MetricSpec(coeffs), MetricSpec.from_values(a2.rs, list(coeffs.values()))]
+    x = np.ones(a2.mb.dim)
+    for spec in specs:
+        for call in (lambda: spec.validate(a2.rs),
+                     lambda: build_metric(a2.rs, a2.killing, spec),
+                     lambda: nabla(a2.sc, a2.mb, spec, x, x)):
+            with pytest.raises(ConfigurationError, match=r"root \(1, 0\) .* got "):
+                call()
+    with pytest.raises(ConfigurationError):
+        build_metric(a2.rs, a2.killing, MetricSpec.normal(a2.rs, bad))
+
+
+def test_real_numbers_of_any_type_are_coefficients(a2):
+    values = [2, np.int64(3), Fraction(1, 2)]
+    expected = build_metric(a2.rs, a2.killing, MetricSpec.from_values(a2.rs, [2.0, 3.0, 0.5]))
+    for spec in (MetricSpec(dict(zip(a2.rs.positive_roots, values))),
+                 MetricSpec.from_values(a2.rs, values)):
+        assert np.array_equal(build_metric(a2.rs, a2.killing, spec).diagonal, expected.diagonal)
+
+
+def test_one_metric_checks_its_coefficients_once(monkeypatch):
+    """assemble_tensor, build_metric and the three checks on a new metric read one
+    checked array: the coefficient check runs once."""
+    pl = pipeline("C", 3)
+    calls = []
+    check = flagconn.metric._coefficients
+    monkeypatch.setattr(flagconn.metric, "_coefficients",
+                        lambda rs, values: calls.append(values) or check(rs, values))
+    values = 10.0 ** np.random.default_rng(2027).uniform(-1, 1, len(pl.rs.positive_roots))
+    spec = MetricSpec.from_values(pl.rs, values)
+    tensor = assemble_tensor(pl.sc, pl.mb, spec)
+    gram = build_metric(pl.rs, pl.killing, spec)
+    reports = [check_oracle_equivalence(pl.rs, pl.sc, spec), check_torsion(tensor, pl.sc),
+               check_metric_compat(tensor, gram)]
+    assert all(r.passed for r in reports)
+    assert calls == [tuple(values.tolist())]
+
+
+def test_per_metric_memos_hold_one_metric():
+    """Every memo of the package is per system (unbounded, keyed on system objects) or per
+    metric (one slot, typed). A larger per-metric memo would turn a repeated metric into a
+    cache hit instead of work."""
+    memos = {id(fn): fn for name, module in sys.modules.items()
+             if name.split(".")[0] == "flagconn" for fn in vars(module).values()
+             if callable(getattr(fn, "cache_parameters", None))}.values()
+    per_metric = {fn for fn in memos if fn.cache_parameters()["maxsize"] is not None}
+    assert per_metric == {flagconn.metric._checked, flagconn.metric._gram,
+                          flagconn.connection._gamma_entries}
+    for fn in per_metric:
+        assert fn.cache_parameters() == {"maxsize": 1, "typed": True}, fn.__name__

@@ -13,10 +13,12 @@ import flagconn.chevalley
 import flagconn.oracle
 import flagconn.su_realization
 from flagconn import (
+    CheckReport,
     ConnectionTensor,
     DimensionError,
     DomainError,
     MetricSpec,
+    abs_root,
     assemble_tensor,
     build_metric,
     check_lemma2,
@@ -179,6 +181,30 @@ def test_lemma2_negative_control(a3):
     assert a != b and a != negate(b)
 
 
+def _lemma2_loop(rs):
+    """check_lemma2 as a loop over all ordered root pairs: the reference it must equal."""
+    worst, witness = 0, None
+    for a in rs.all_roots:
+        for b in rs.all_roots:
+            if a == b or a == negate(b):
+                continue
+            count = sum(rs.is_positive(a2) and abs_root(rs, a1) < a2 for a1, a2 in
+                        ((a, b), (b, a), (negate(a), negate(b)), (negate(b), negate(a))))
+            if abs(count - 1) > worst:
+                worst, witness = abs(count - 1), (a, b)
+    return CheckReport("lemma2-uniqueness", float(worst), 0.0, worst == 0, witness)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_lemma2_equals_the_pairwise_loop(family, rank):
+    # the real order, then orders that break the lemma, each with its own first worst pair
+    rs = pipeline(family, rank).rs
+    for is_positive in (rs.is_positive, lambda v: True, lambda v: False,
+                        lambda v: v[-1] > 0, lambda v: sum(v) % 3 == 1):
+        stub = types.SimpleNamespace(all_roots=rs.all_roots, is_positive=is_positive)
+        assert check_lemma2(stub) == _lemma2_loop(stub)
+
+
 def test_report_invariant_passed_iff_within_threshold(a2):
     report = check_oracle_equivalence(a2.rs, a2.sc, random_metric(a2.rs, 83))
     assert report.passed == (report.max_residual <= report.threshold)
@@ -250,9 +276,11 @@ def _names(fn) -> set:
 def test_the_oracle_and_u_sun_share_no_formula_with_the_closed_form():
     """The oracle and u_sun are independent routes to U: they name none of the closed
     form's weights, its metric spec or its coefficient check, nor the pipeline's code."""
-    closed_form = {"_entries", "_gamma_entries", "_coefficients", "spec"}
+    closed_form = {"_entries", "_gamma_entries", "_closed_form_table", "_coefficients",
+                   "_checked", "spec"}
     for fn in (flagconn.oracle._oracle_entries, flagconn.oracle.u_oracle,
-               flagconn.oracle._transposed, flagconn.chevalley._contract):
+               flagconn.oracle._oracle_table, flagconn.oracle._transposed,
+               flagconn.chevalley._contract):
         assert not _names(fn) & closed_form, fn.__name__
     su = ast.parse(inspect.getsource(flagconn.su_realization))
     pipeline_names = {alias.asname or alias.name for node in su.body
@@ -262,3 +290,32 @@ def test_the_oracle_and_u_sun_share_no_formula_with_the_closed_form():
     assert {"_adjoint", "_entries", "MetricSpec"} <= pipeline_names
     for fn in (flagconn.su_realization.u_sun, flagconn.su_realization._validated_coeffs):
         assert not _names(fn) & pipeline_names, fn.__name__
+
+
+class _Item1(Exception):
+    """A wide-range metric fails exactly the checks of ROADMAP item 1."""
+
+
+# ROADMAP item 1: on c = np.logspace(-8, 8, |R+|) these checks of a correct connection
+# fail the default threshold, with these residuals (2 digits)
+_ITEM1 = {("A", 3): {"torsion": 1.0},
+          ("C", 3): {"metric-compatibility": 1.9e-9},
+          ("B", 4): {"oracle-equivalence": 4.9e-4, "metric-compatibility": 4.8e-7},
+          ("D", 4): {"oracle-equivalence": 3.1e-2, "metric-compatibility": 2.4e-7}}
+
+
+@pytest.mark.xfail(strict=True, raises=_Item1,
+                   reason="ROADMAP item 1: each check judges a bare absolute residual")
+@pytest.mark.parametrize("family,rank", list(_ITEM1))
+def test_a_wide_range_metric_passes_every_check(family, rank):
+    """Fails as item 1 records until the checks judge residuals relative to scale; a
+    different outcome, other than every check passing, fails outright."""
+    pl = pipeline(family, rank)
+    spec = MetricSpec.from_values(pl.rs, np.logspace(-8, 8, len(pl.rs.positive_roots)))
+    tensor = assemble_tensor(pl.sc, pl.mb, spec)
+    reports = [check_oracle_equivalence(pl.rs, pl.sc, spec), check_torsion(tensor, pl.sc),
+               check_metric_compat(tensor, build_metric(pl.rs, pl.killing, spec))]
+    failed = {r.check_name: float(f"{r.max_residual:.2g}") for r in reports if not r.passed}
+    if failed == _ITEM1[family, rank]:
+        raise _Item1(failed)
+    assert not failed

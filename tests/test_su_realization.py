@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -240,6 +241,18 @@ def test_u_sun_rejects_small_n_and_bad_coefficients():
     for bad in (np.inf, np.nan):
         with pytest.raises(ConfigurationError):
             u_sun(2, {(1, 2): 1.0, (1, 3): bad, (2, 3): 2.0}, np.zeros(6), np.zeros(6))
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "2.0", 2j, None],
+                         ids=["bool", "numpy-bool", "string", "complex", "none"])
+def test_u_sun_coefficients_are_real_numbers_and_no_bool(bad):
+    # the rule of the CLI and of the pipeline's metric check, in u_sun's own check
+    x = np.ones(6)
+    with pytest.raises(ConfigurationError, match=r"\(1, 3\) .* got "):
+        u_sun(2, {(1, 2): 2.0, (1, 3): bad, (2, 3): 3.0}, x, x)
+    reals = {(1, 2): 2, (1, 3): np.int64(1), (2, 3): Fraction(3, 2)}
+    assert np.array_equal(u_sun(2, reals, x, x),
+                          u_sun(2, {(1, 2): 2.0, (1, 3): 1.0, (2, 3): 1.5}, x, x))
 
 
 @pytest.mark.parametrize("n", [2, 3])
