@@ -2,9 +2,10 @@
 
 Structure constants are exact integers with |N(a, b)| = p + 1 (p the down
 string length), signs fixed by making N positive on extraspecial pairs with
-respect to the lexicographic order. One cached adjoint table per system feeds
-the m-bracket entries, the su(n+1) check and the Killing form, whose traces
-double as a self-check. Real tangent vectors live in the span of
+respect to the lexicographic order. They are computed on the rows of the
+system's root-triple table, which feed the m-bracket entries and one cached
+adjoint table; that feeds the su(n+1) check and the Killing form, whose
+traces double as a self-check. Real tangent vectors live in the span of
 
     U_a = E_a - E_{-a},    V_a = i (E_a + E_{-a}),    a positive,
 
@@ -73,6 +74,7 @@ class StructureConstants:
     rs: RootSystem
     n_coeff: MappingProxyType[tuple[Coords, Coords], int]
     coroot_table: MappingProxyType[Coords, tuple[int, ...]]  # alpha^vee over H_1..H_l
+    n_rows: np.ndarray  # read-only int64 N(a, b) on each row (a, b, s) of rs.triples
 
     def n(self, alpha: Coords, beta: Coords) -> int:
         """N(alpha, beta); defined exactly when alpha, beta, alpha+beta are roots."""
@@ -84,13 +86,18 @@ class StructureConstants:
 
 def root_string_p(rs: RootSystem, alpha: Coords, beta: Coords) -> int:
     """Largest k >= 0 with beta - k*alpha a root."""
-    p, cur = 0, beta
-    while True:
-        cur = add_roots(cur, negate(alpha))
-        if cur in rs.all_roots:
-            p += 1
-        else:
-            return p
+    p = 0
+    while tuple(b - (p + 1) * a for a, b in zip(alpha, beta)) in rs.all_roots:
+        p += 1
+    return p
+
+
+def _exact(num, den):
+    """num // den for integers or integer arrays; a remainder raises DomainError."""
+    out, rem = divmod(num, den)
+    if rem.any() if isinstance(rem, np.ndarray) else rem:
+        raise DomainError("an exact division left a remainder: the norms are no root system's")
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,56 +106,57 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
 
     Anchors: for each non-simple positive root rho, the special pair
     (g, d), g < d, g + d = rho with lexicographically least g receives
-    N(g, d) = p + 1 > 0. Every other constant follows from antisymmetry,
-    N(-a, -b) = -N(a, b), the coroot identity on triples summing to zero,
-    and the Jacobi identity; all arithmetic stays in exact integers.
+    N(g, d) = p + 1 > 0, and the Jacobi identity gives the other positive
+    pairs. Every other constant follows from N(-a, -b) = -N(a, b),
+    N(b, a) = -N(a, b) and the coroot identity on triples summing to zero,
+    applied at once to the index rows of the root-triple table; all
+    arithmetic stays in exact integers.
     """
-    is_pos, norm = rs.is_positive, rs.norm_table
+    npos, norms = len(rs.positive_roots), [rs.norm_table[r] for r in rs.roots]
+    a, b, s = rs.triples
+    sums = dict(zip(zip(a.tolist(), b.tolist()), s.tolist()))
+    special: dict[int, list[tuple[int, int]]] = {}
+    for g, d, rho in rs.triples[:, (a < b) & (b < npos)].T.tolist():  # positive g < d
+        special.setdefault(rho, []).append((g, d))
+    positive = [[0] * npos for _ in range(npos)]  # N on positive pairs, antisymmetric
 
-    special: dict[Coords, list[tuple[Coords, Coords]]] = {}
-    for (g, d), rho in rs.sum_table.items():
-        if is_pos(g) and is_pos(d) and g < d:
-            special.setdefault(rho, []).append((g, d))
+    def neg(k: int) -> int:
+        return (k + npos) % (2 * npos)
 
-    table: dict[tuple[Coords, Coords], int] = {}
-
-    def resolve(a: Coords, b: Coords) -> int:
-        s = add_roots(a, b)
-        if not is_pos(s):
-            return -resolve(negate(a), negate(b))
-        if is_pos(a) and is_pos(b):
-            return table[(a, b)] if a < b else -table[(b, a)]
-        if not is_pos(a):
+    def resolve(a: int, b: int) -> int:  # N(roots[a], roots[b]) from the positive pairs
+        if (s := sums[a, b]) >= npos:
+            return -resolve(neg(a), neg(b))
+        if a >= npos:
             return -resolve(b, a)
-        # a positive, b negative, s positive: rotate the zero-sum triple
-        # (a, b, -s) onto the positive pair (-b, s), whose sum is a
-        out, rem = divmod(-norm[s] * resolve(negate(b), s), norm[a])
-        assert rem == 0
-        return out
+        # a positive; b negative: rotate the zero-sum triple (a, b, -s) onto (-b, s)
+        return positive[a][b] if b < npos else _exact(-norms[s] * positive[neg(b)][s], norms[a])
 
-    for rho in sorted(special, key=sum):  # by height: recursion reaches only lower sums
-        pairs = sorted(special[rho])
-        a0, b0 = pairs[0]
-        table[(a0, b0)] = root_string_p(rs, a0, b0) + 1
-        for g, d in pairs[1:]:
+    # by height, so that resolve reads only the positive pairs of lower sums
+    for rho in sorted(special, key=lambda k: sum(rs.roots[k])):
+        (a0, b0), *pairs = sorted(special[rho])
+        n0 = root_string_p(rs, rs.roots[a0], rs.roots[b0]) + 1
+        positive[a0][b0], positive[b0][a0] = n0, -n0
+        for g, d in pairs:
             # Jacobi identity for (E_a0, E_b0, E_{-g}) read on the E_d component
-            acc = 0
-            if add_roots(b0, negate(g)) in rs.all_roots:
-                acc += resolve(b0, negate(g)) * resolve(add_roots(b0, negate(g)), a0)
-            if add_roots(a0, negate(g)) in rs.all_roots:
-                acc += resolve(negate(g), a0) * resolve(add_roots(a0, negate(g)), b0)
-            n_rho_negg, rem = divmod(-acc, table[(a0, b0)])
-            assert rem == 0
-            table[(g, d)], rem = divmod(-norm[rho] * n_rho_negg, norm[d])
-            assert rem == 0
+            acc = sum(sign * resolve(x, neg(g)) * resolve(sums[x, neg(g)], y)
+                      for sign, x, y in ((1, b0, a0), (-1, a0, b0)) if (x, neg(g)) in sums)
+            n = _exact(-norms[rho] * _exact(-acc, n0), norms[d])
+            positive[g][d], positive[d][g] = n, -n
 
-    n_coeff = {(a, b): resolve(a, b) for (a, b) in rs.sum_table}
-
-    norms = [norm[s] for s in rs.simple_roots]
-    coroots = {r: [divmod(c * n, norm[r]) for c, n in zip(r, norms)] for r in rs.all_roots}
-    assert all(rem == 0 for cr in coroots.values() for _, rem in cr)
-    coroot_table = {r: tuple(c for c, _ in cr) for r, cr in coroots.items()}
-    return StructureConstants(rs, MappingProxyType(n_coeff), MappingProxyType(coroot_table))
+    # the rules of resolve on every row of the triple table at once
+    positive, norms = np.array(positive, dtype=np.int64), np.array(norms, dtype=np.int64)
+    flip = s >= npos  # a negative sum
+    a, b, s = (np.where(flip, (x + npos) % (2 * npos), x) for x in rs.triples)
+    swap = a >= npos  # a negative, b positive
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    mixed, nb = b >= npos, b % npos  # a positive, b = -nb negative
+    n = _exact(np.where(mixed, -norms[s] * positive[nb, s], positive[a, nb]),
+               np.where(mixed, norms[a], 1)) * np.where(flip ^ swap, -1, 1)
+    n.flags.writeable = False  # shared through the cache
+    simple = np.array([rs.norm_table[r] for r in rs.simple_roots])
+    coroots = _exact(np.array(rs.roots, dtype=np.int64) * simple, norms[:, None]).tolist()
+    return StructureConstants(rs, MappingProxyType(dict(zip(rs.sum_table, n.tolist()))),
+                              MappingProxyType(dict(zip(rs.roots, map(tuple, coroots)))), n)
 
 
 def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
@@ -218,19 +226,21 @@ class KillingForm:
 def _adjoint(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.ndarray]:
     """Full-basis labels in KillingForm order, their index, and the nonzero entries
     of ad as one read-only int64 array of columns (x, out, in, value): ``value`` is
-    the coefficient of ``out`` in [x, in]. Root-root brackets come first, in
-    ``rs.sum_table`` order; then [H_i, E_a], [E_a, H_i] and [E_a, E_{-a}] = H_a."""
+    the coefficient of ``out`` in [x, in]. Root-root brackets come first, one per row
+    of the root-triple table; then [H_i, E_a], [E_a, H_i] and [E_a, E_{-a}] = H_a."""
     _one_system("root system and the structure constants", rs, sc.rs)
-    roots = list(rs.positive_roots) + [negate(r) for r in rs.positive_roots]
-    labels = [("H", i) for i in range(rs.rank)] + [("E", r) for r in roots]
+    rank, npos = rs.rank, len(rs.positive_roots)
+    labels = [("H", i) for i in range(rank)] + [("E", r) for r in rs.roots]
     index = {lab: k for k, lab in enumerate(labels)}
-    e = {r: index[("E", r)] for r in roots}  # H_i sits at index i
-    rows = [(e[a], e[s], e[b], sc.n_coeff[(a, b)]) for (a, b), s in rs.sum_table.items()]
-    for a in roots:
-        for i, h in enumerate(sc.coroot_table[a]):
-            act = rs.pairing(a, i)
-            rows += [(i, e[a], e[a], act), (e[a], e[a], i, -act), (e[a], i, e[negate(a)], h)]
-    entries = np.array([row for row in rows if row[3]], dtype=np.int64).T
+    a, b, s = rs.triples + rank  # H_i sits at index i, E of rs.roots[k] at rank + k
+    act = np.array(rs.roots, dtype=np.int64) @ np.array(rs.pairing_matrix)  # <a, alpha_i^vee>
+    coroots = np.array([sc.coroot_table[r] for r in rs.roots], dtype=np.int64)
+    h, e = np.indices(act.shape)[::-1]
+    e, minus = e + rank, (e + npos) % (2 * npos) + rank
+    entries = np.concatenate([np.stack([a, s, b, sc.n_rows])] + [
+        np.stack(column).reshape(4, -1) for column in
+        ((h, e, e, act), (e, e, h, -act), (e, h, minus, coroots))], axis=1)
+    entries = entries[:, entries[3] != 0]
     entries.flags.writeable = False  # shared through the cache
     return tuple(labels), index, entries
 
@@ -238,16 +248,17 @@ def _adjoint(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.nd
 @functools.lru_cache(maxsize=None)
 def killing_gram(rs: RootSystem, sc: StructureConstants) -> KillingForm:
     """Killing form B(b_x, b_y) = sum over (o, i) of ad[x, o, i] ad[y, i, o], exact
-    in integers: each adjoint entry at slot (o, i) meets the entries at (i, o)."""
-    labels, index, entries = _adjoint(rs, sc)
-    at_slot: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for x, o, i, v in entries.T.tolist():
-        at_slot.setdefault((o, i), []).append((x, v))
-    rows, cols, products = np.array([(x, y, v * w) for (o, i), left in at_slot.items()
-                                     for y, w in at_slot.get((i, o), ()) for x, v in left],
-                                    dtype=np.int64).T
-    gram = np.zeros((len(labels),) * 2, dtype=np.int64)
-    np.add.at(gram, (rows, cols), products)
+    in integers: one sorted join meets each adjoint entry at slot (o, i) with the
+    entries at (i, o)."""
+    labels, index, (x, o, i, v) = _adjoint(rs, sc)
+    dim = len(labels)
+    order = np.argsort(o * dim + i)
+    slots = (o * dim + i)[order]
+    lo, hi = (np.searchsorted(slots, i * dim + o, side) for side in ("left", "right"))
+    left = np.repeat(np.arange(len(v)), hi - lo)
+    right = order[np.arange(len(left)) + np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo)]
+    gram = np.zeros((dim, dim), dtype=np.int64)
+    np.add.at(gram, (x[left], x[right]), v[left] * v[right])
     gram.flags.writeable = False  # shared through the cache
     return KillingForm(rs=rs, labels=labels, index=MappingProxyType(index), gram=gram)
 
@@ -347,9 +358,9 @@ def m_bracket_entries(
     """The nonzero entries T[i, j, k] = t of the m-bracket, as arrays (i, j, k, t)
     sorted row-major by (i, j, k).
 
-    Read off the root-root rows (g, s, d, N(g, d)) of the adjoint table whose
-    output s = g + d is a positive root: such a pair brackets the E_g, E_d
-    parts of e_i, e_j into N(g, d) E_s. E_g has coefficient sign(g) in U_|g|
+    Read off the rows (g, d, s) of the root-triple table whose sum s = g + d is
+    a positive root: such a pair brackets the E_g, E_d parts of e_i, e_j into
+    N(g, d) E_s. E_g has coefficient sign(g) in U_|g|
     and i in V_|g|, and the real and imaginary parts of the E_s coefficient
     are the U_s and V_s coordinates, so each such pair gives exactly four
     entries, the even-parity choices of U or V on the blocks (|g|, |d|, |g+d|).
@@ -360,13 +371,12 @@ def m_bracket_entries(
     """
     rs = sc.rs
     _one_system("m basis and the structure constants", mb.rs, rs)
-    _, _, (x, o, y, n) = _adjoint(rs, sc)
     npos = len(rs.positive_roots)
-    # E_a sits at rank + block for positive a and at rank + npos + block for -a
-    g, r, d = x - rs.rank, o - rs.rank, y - rs.rank
-    keep = (g >= 0) & (d >= 0) & (r >= 0) & (r < npos)  # root-root rows, g + d positive
-    (hg, p), (hd, q), r, n = np.divmod(g[keep], npos), np.divmod(d[keep], npos), r[keep], n[keep]
-    sg, sd = 1 - 2 * hg, 1 - 2 * hd  # +1 in the positive half of the labels, -1 in the negative
+    keep = rs.triples[2] < npos  # g + d positive
+    # root k < npos and its negative, root npos + k, are on block k
+    (hg, hd, _), (p, q, r) = np.divmod(rs.triples[:, keep], npos)
+    n = sc.n_rows[keep]
+    sg, sd = 1 - 2 * hg, 1 - 2 * hd  # +1 for a positive root, -1 for a negative one
     i = np.concatenate([2 * p, 2 * p, 2 * p + 1, 2 * p + 1])
     j = np.concatenate([2 * q, 2 * q + 1, 2 * q, 2 * q + 1])
     k = np.concatenate([2 * r, 2 * r + 1, 2 * r + 1, 2 * r])  # UU, UV, VU, VV

@@ -171,7 +171,7 @@ def _gamma_entries(sc: StructureConstants, mb: MBasis, *values):
 
 
 def _entries(sc: StructureConstants, mb: MBasis, spec: MetricSpec):
-    values = tuple(map(spec.coeffs.get, sc.rs.positive_roots))
+    values = spec._values(sc.rs)
     try:
         return _gamma_entries(sc, mb, *values)
     except TypeError:  # an unhashable value is no real number: the check raises

@@ -66,8 +66,14 @@ class MetricSpec:
     def c(self, alpha: Coords) -> float:
         return self.coeffs[alpha]
 
+    def _values(self, rs: RootSystem) -> tuple:
+        """The coefficients in rs.positive_roots order, None where one is missing."""
+        if tuple(self.coeffs) == rs.positive_roots:  # the order of from_values and normal
+            return tuple(self.coeffs.values())
+        return tuple(map(self.coeffs.get, rs.positive_roots))
+
     def validate(self, rs: RootSystem) -> None:
-        _coefficients(rs, tuple(map(self.coeffs.get, rs.positive_roots)))
+        _coefficients(rs, self._values(rs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +102,7 @@ def _gram(rs: RootSystem, killing: KillingForm, *values) -> MetricGram:
 def build_metric(rs: RootSystem, killing: KillingForm, spec: MetricSpec) -> MetricGram:
     """Gram matrix with entry c_a * (-B)(e, e) at each basis slot of m^a; the last is memoized."""
     _one_system("root system and the Killing form", rs, killing.rs)
-    values = tuple(map(spec.coeffs.get, rs.positive_roots))
+    values = spec._values(rs)
     try:
         return _gram(rs, killing, *values)
     except TypeError:  # an unhashable value is no real number: the check raises

@@ -6,6 +6,9 @@ nonzero coordinate is positive; this is the lexicographic order used for
 sorting and for selecting canonical pairs downstream. Systems are generated
 by root-string closure from the Cartan pairing, not from hard-coded tables,
 so the standard positive-root counts act as an independent cross-check.
+One root-triple table per system lists every pair of roots whose sum is a
+root as index rows, found through integer keys linear in the coordinates; the
+public ``sum_table`` is built from it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
+
+import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError
 
@@ -66,18 +71,21 @@ class RootSystem:
     ``positive_roots`` is sorted strictly ascending in the lexicographic
     order; ``all_roots`` is the disjoint union with the negatives;
     ``sum_table`` maps a pair of roots to their sum exactly when the sum is
-    again a root. One object per (family, rank) is shared, so its tables are
-    read-only mappings.
+    again a root; ``triples`` holds one row (a, b, s) of indices into ``roots``
+    (the positive roots, then their negatives) per key, in its order. One object
+    per (family, rank) is shared, so its tables are read-only.
     """
 
     family: str
     rank: int
     simple_roots: tuple[Coords, ...]
     positive_roots: tuple[Coords, ...]
+    roots: tuple[Coords, ...]
     all_roots: frozenset[Coords]
     sum_table: MappingProxyType[tuple[Coords, Coords], Coords]
     pairing_matrix: tuple[tuple[int, ...], ...]
     norm_table: MappingProxyType[Coords, int]  # scaled squared length (root, root); exact integer
+    triples: np.ndarray  # int64 rows (a, b, s)
 
     def is_positive(self, v: Coords) -> bool:
         """Lexicographic positivity of a lattice vector."""
@@ -93,29 +101,20 @@ class RootSystem:
 
 
 def _generate_positive(pairing, simple: tuple[Coords, ...]) -> set[Coords]:
-    positive: set[Coords] = set(simple)
-    frontier = list(simple)
-
-    def pair(v: Coords, i: int) -> int:
-        return sum(v[j] * pairing[j][i] for j in range(len(v)))
-
+    """Close the simple roots, the unit vectors, under root strings."""
+    positive, frontier = set(simple), list(simple)
     while frontier:
         grown: list[Coords] = []
         for beta in frontier:
-            for i, alpha in enumerate(simple):
-                # down-string length p; the whole down string of a positive
-                # root along a simple root stays positive, so searching the
-                # positive set is enough
+            for i, c in enumerate(beta):
+                # down-string length p; the whole down string of a positive root along
+                # a simple root stays positive, so searching the positive set is enough
                 p = 0
-                cur = beta
-                while True:
-                    cur = tuple(c - a for c, a in zip(cur, alpha))
-                    if cur in positive:
-                        p += 1
-                    else:
-                        break
-                if p - pair(beta, i) >= 1:
-                    cand = add_roots(beta, alpha)
+                while p < c and beta[:i] + (c - p - 1,) + beta[i + 1:] in positive:
+                    p += 1
+                # beta + alpha_i is a root iff p - <beta, alpha_i^vee> >= 1
+                if p > sum(b * row[i] for b, row in zip(beta, pairing)):
+                    cand = beta[:i] + (c + 1,) + beta[i + 1:]
                     if cand not in positive:
                         positive.add(cand)
                         grown.append(cand)
@@ -142,22 +141,42 @@ def _root_system(fam: str, rank: int) -> RootSystem:
     pos_sorted = tuple(sorted(positive))  # tuple order is the lexicographic order
     all_roots = frozenset(positive) | {negate(r) for r in positive}
 
+    # in triple-table order, keyed linearly in the coordinates shifted by 2m: key(a) + key(b)
+    # - shift = key(a + b), one-to-one as a sum's coordinates lie in [-2m, 2m]
+    roots = pos_sorted + tuple(map(negate, pos_sorted))
+    coords, m = np.array(roots, dtype=np.int64), max(map(max, pos_sorted))
+    weights = np.array([(4 * m + 1) ** i for i in range(rank)],  # Python ints past int64
+                       dtype=np.int64 if (4 * m + 1) ** rank < 2 ** 62 else object)
+    keys = (coords + 2 * m) @ weights
+    order = np.argsort(keys)
+    ranked = keys[order]
+
+    def find(k):  # the index of the root with key k, -1 where there is none
+        at = np.minimum(np.searchsorted(ranked, k), len(keys) - 1)
+        return np.where(ranked[at] == k, order[at], -1)
+
+    listed = find((np.array(list(all_roots)) + 2 * m) @ weights)  # in all_roots order
+    sums = find(keys[listed][:, None] + keys[listed] - 2 * m * weights.sum())
+    a, b = np.nonzero(sums >= 0)  # row-major, the order of a loop over all_roots twice
+    triples = np.stack([listed[a], listed[b], sums[a, b]])
+    triples.flags.writeable = False  # shared through the cache
+    sum_table = {(roots[a], roots[b]): roots[s] for a, b, s in triples.T.tolist()}
+
     norms = _simple_norms(fam, rank)
-    gram = [[pairing[i][j] * norms[j] // 2 for j in range(rank)] for i in range(rank)]
-    norm_table = {r: sum(gram[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
-                  for r in all_roots}
-    sum_table = {(a, b): s for a in all_roots for b in all_roots
-                 if (s := add_roots(a, b)) in all_roots}
+    gram = np.array([[pairing[i][j] * norms[j] // 2 for j in range(rank)] for i in range(rank)])
+    norm_table = dict(zip(all_roots, ((coords @ gram) * coords).sum(axis=1)[listed].tolist()))
 
     return RootSystem(
         family=fam,
         rank=rank,
         simple_roots=simple,
         positive_roots=pos_sorted,
+        roots=roots,
         all_roots=all_roots,
         sum_table=MappingProxyType(sum_table),
         pairing_matrix=pairing,
         norm_table=MappingProxyType(norm_table),
+        triples=triples,
     )
 
 

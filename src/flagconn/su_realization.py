@@ -195,7 +195,8 @@ def build_alignment(n: int) -> SuAlignment:
                 e_b, e_s = (matrix_unit(n, *simple_to_eps(n, r)) for r in (beta, simple))
                 i, j = simple_to_eps(n, alpha)
                 n_mat = int((e_b @ e_s - e_s @ e_b)[i - 1, j - 1].real)  # [e_b, e_s] = N' e_ij
-                assert abs(n_abs) == abs(n_mat) == 1
+                if not abs(n_abs) == abs(n_mat) == 1:
+                    raise DomainError(f"N({beta}, {simple}) is {n_abs}, {n_mat} in su({n + 1})")
                 # bracket preservation: N(beta, s) * lambda_alpha = lambda_beta * N'(beta, s)
                 signs[alpha] = signs[beta] * n_mat * n_abs
                 break
@@ -206,17 +207,21 @@ def build_alignment(n: int) -> SuAlignment:
     return SuAlignment(n=n, rs=rs, signs=MappingProxyType(signs), coord_signs=coord_signs)
 
 
+def _positive_real(c, what: str) -> float:
+    """c as a float if it is a positive, finite real number (a bool is an int, but no number)."""
+    x = float(c) if isinstance(c, numbers.Real) and not isinstance(c, bool) else np.nan
+    if not (x > 0 and np.isfinite(x)):
+        raise ConfigurationError(f"{what} must be a positive, finite real number, got {c!r}")
+    return x
+
+
 def _validated_coeffs(n: int, coeffs) -> np.ndarray:
     """The symmetric coefficient matrix; its diagonal of ones only meets zero entries."""
     out = np.ones((n + 1, n + 1))
     for r in positive_eps_roots(n):
         if r not in coeffs:  # an EpsRoot equals and hashes like its bare (i, j)
             raise ConfigurationError(f"missing coefficient for eps root {tuple(r)}")
-        c = coeffs[r]  # a bool is an int, but no coefficient
-        c = float(c) if isinstance(c, numbers.Real) and not isinstance(c, bool) else np.nan
-        if not (c > 0 and np.isfinite(c)):
-            raise ConfigurationError(f"coefficient for eps root {tuple(r)} must be a positive, "
-                                     f"finite real number, got {coeffs[r]!r}")
+        c = _positive_real(coeffs[r], f"coefficient for eps root {tuple(r)}")
         out[r.i - 1, r.j - 1] = out[r.j - 1, r.i - 1] = c
     return out
 
@@ -241,9 +246,7 @@ def u_sun(n: int, coeffs, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def su3_coefficients(c1: float, c2: float, c3: float) -> tuple[float, float, float]:
     """The three scalar weights of the SU(3)/T formula."""
-    for c in (c1, c2, c3):
-        if not (c > 0 and np.isfinite(c)):
-            raise ConfigurationError("metric coefficients must be positive and finite")
+    c1, c2, c3 = (_positive_real(c, "metric coefficient") for c in (c1, c2, c3))
     return (c3 - c2) / (2 * c1), (c3 - c1) / (2 * c2), (c2 - c1) / (2 * c3)
 
 

@@ -287,12 +287,45 @@ def test_metric_spec_from_config_rejects_bad_shapes(tmp_path):
         metric_spec_from_config(rs, [{"c": 1.0}])
 
 
+def _flagconn_caches():
+    """Every memoized function in the flagconn module namespaces: the rule by which the
+    benchmark clears its caches for a cold set-up."""
+    return list({id(value): value for name, module in list(sys.modules.items())
+                 if name.split(".")[0] == "flagconn" for value in vars(module).values()
+                 if callable(getattr(value, "cache_clear", None))}.values())
+
+
+def test_clearing_the_discovered_caches_makes_set_up_cold():
+    def build():
+        rs = build_root_system("A", 3)
+        sc = chevalley_constants(rs)
+        return rs, sc, killing_gram(rs, sc), flagconn.chevalley.m_bracket_entries(
+            sc, flagconn.build_m_basis(rs))
+
+    before = build()
+    assert all(a is b for a, b in zip(before, build()))  # memoized
+    for cache in _flagconn_caches():
+        cache.cache_clear()
+    assert not any(a is b for a, b in zip(before, build()))
+
+
+def test_importing_the_cli_builds_no_table():
+    src = str(Path(flagconn.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, flagconn.cli\n"
+            "for name, module in list(sys.modules.items()):\n"
+            "    if name.split('.')[0] == 'flagconn':\n"
+            "        for key, value in vars(module).items():\n"
+            "            if callable(getattr(value, 'cache_clear', None)):\n"
+            "                print(name, key, value.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert len(out) >= 11 and all(line.endswith(" 0") for line in out), out
+
+
 def test_one_job_builds_each_table_once(tmp_path):
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "flagconn":
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+    for cache in _flagconn_caches():
+        cache.cache_clear()
     code, _ = run_cli(tmp_path, "--family", "A", "--rank", "4", "--checks", "all")
     assert code == EXIT_OK
     for cached in (flagconn.rootsys._root_system, flagconn.chevalley.chevalley_constants,

@@ -71,6 +71,20 @@ def test_missing_coefficient_names_the_root(a2):
         build_metric(a2.rs, a2.killing, MetricSpec(coeffs))
 
 
+@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 3)])
+def test_values_are_read_in_positive_root_order_from_any_key_order(family, rank):
+    rs = pipeline(family, rank).rs
+    in_order = random_metric(rs, 5)
+    reference = tuple(map(in_order.coeffs.get, rs.positive_roots))
+    assert in_order._values(rs) == reference
+    assert MetricSpec(dict(reversed(in_order.coeffs.items())))._values(rs) == reference
+    partial = dict(in_order.coeffs)
+    del partial[rs.positive_roots[1]]
+    assert MetricSpec(partial)._values(rs)[1] is None
+    extra = {**in_order.coeffs, (9,) * rank: 1.0}  # a key that is no positive root
+    assert MetricSpec(extra)._values(rs) == reference
+
+
 def test_nonpositive_coefficient_rejected(a2):
     coeffs = {alpha: 1.0 for alpha in a2.rs.positive_roots}
     coeffs[(0, 1)] = 0.0

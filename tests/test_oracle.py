@@ -288,7 +288,9 @@ def test_the_oracle_and_u_sun_share_no_formula_with_the_closed_form():
                       and node.module in ("chevalley", "connection", "metric")
                       for alias in node.names}
     assert {"_adjoint", "_entries", "MetricSpec"} <= pipeline_names
-    for fn in (flagconn.su_realization.u_sun, flagconn.su_realization._validated_coeffs):
+    for fn in (flagconn.su_realization.u_sun, flagconn.su_realization._validated_coeffs,
+               flagconn.su_realization.su3_coefficients, flagconn.su_realization.u_su3,
+               flagconn.su_realization._positive_real):
         assert not _names(fn) & pipeline_names, fn.__name__
 
 

@@ -299,6 +299,21 @@ def test_su3_coefficients_frozen_values():
             su3_coefficients(1.0, bad, 2.0)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "2", 2j],
+                         ids=["bool", "numpy-bool", "string", "complex"])
+@pytest.mark.parametrize("slot", range(3))
+def test_su3_coefficients_are_real_numbers_and_no_bool(bad, slot):
+    # the rule of u_sun's own check, on the SU(3) route
+    coeffs = [2.0, 3.0, 4.0]
+    coeffs[slot] = bad
+    x = np.ones(6)
+    with pytest.raises(ConfigurationError, match="real number, got "):
+        su3_coefficients(*coeffs)
+    with pytest.raises(ConfigurationError, match="real number, got "):
+        u_su3(*coeffs, x, x)
+    assert su3_coefficients(2, np.int64(3), Fraction(4)) == su3_coefficients(2.0, 3.0, 4.0)
+
+
 def test_u_su3_vanishes_for_equal_coefficients():
     rng = np.random.default_rng(19)
     x, y = rng.normal(size=6), rng.normal(size=6)
