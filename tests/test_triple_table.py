@@ -135,6 +135,12 @@ def test_root_tables_equal_the_pair_loops(family, rank):
     assert rs.triples.dtype == np.int64 and not rs.triples.flags.writeable
 
 
+def test_keys_past_int64_give_the_same_sums():
+    rs = build_root_system("B", 20)  # keys up to 9**20 > 2**63: Python-int keys
+    sum_table, norm_table = _root_tables_loop(rs)
+    assert list(rs.sum_table.items()) == list(sum_table.items()) and rs.norm_table == norm_table
+
+
 @pytest.mark.parametrize("family,rank", SYSTEMS)
 def test_constants_equal_the_recursive_resolve(family, rank):
     rs = build_root_system(family, rank)
