@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionError, DomainError, RepresentationError
-from .rootsys import Coords, RootSystem, _check_roots, _one_system, add_roots, negate
+from .rootsys import Coords, RootSystem, _check_roots, _join, _one_system, add_roots, negate
 
 
 @dataclass
@@ -252,11 +252,7 @@ def killing_gram(rs: RootSystem, sc: StructureConstants) -> KillingForm:
     entries at (i, o)."""
     labels, index, (x, o, i, v) = _adjoint(rs, sc)
     dim = len(labels)
-    order = np.argsort(o * dim + i)
-    slots = (o * dim + i)[order]
-    lo, hi = (np.searchsorted(slots, i * dim + o, side) for side in ("left", "right"))
-    left = np.repeat(np.arange(len(v)), hi - lo)
-    right = order[np.arange(len(left)) + np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo)]
+    left, right = _join(i * dim + o, o * dim + i)
     gram = np.zeros((dim, dim), dtype=np.int64)
     np.add.at(gram, (x[left], x[right]), v[left] * v[right])
     gram.flags.writeable = False  # shared through the cache

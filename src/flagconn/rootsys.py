@@ -39,6 +39,14 @@ def add_roots(a: Coords, b: Coords) -> Coords:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (a, b) with left[a] == right[b], grouped by a: one sorted join."""
+    order = np.argsort(right)
+    lo, hi = (np.searchsorted(right[order], left, side) for side in ("left", "right"))
+    a = np.repeat(np.arange(len(left)), hi - lo)
+    return a, order[np.arange(len(a)) + np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo)]
+
+
 def _cartan_pairing(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Matrix P with P[i][j] = <alpha_i, alpha_j^vee>, Bourbaki numbering."""
     p = [[0] * rank for _ in range(rank)]

@@ -15,12 +15,11 @@ sum over index triples, with c the symmetric matrix of block coefficients:
     U(x, y)_pq = sum_r w[p, r, q] (x_pr y_rq + y_pr x_rq),
     w[p, r, q] = (c_rq - c_pr) / (2 c_pq).
 
-An explicit signed basis isomorphism phi is computed once; through it the
-cross-check compares phi([x, y]) = sum_o ad[x, o, y] phi[o], scattered from
-the nonzero abstract adjoint entries, with matrix commutators and the Killing
-gram with 2(n+1) tr(xy) on all full-basis pairs, exactly (integers against
-products of +-1 and +-i matrix units), and U on all m pairs: the closed-form
-entries are subtracted from u_sun's all-pairs output at their keys.
+An explicit signed basis isomorphism phi is computed once. Each basis image is
+a signed matrix unit, or two diagonal units for H_i, so the cross-check compares
+entry lists keyed by basis pair and matrix entry: sum_o ad[x, o, y] phi[o] with
+[phi x, phi y] by e_pq e_rs = delta_qr e_ps, the Killing gram with 2(n+1) tr(phi x
+phi y) by tr(e_pq e_rs) = delta_qr delta_ps, both exactly; U with w on chained (p, r, q).
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .connection import _entries
 from .errors import ConfigurationError, DimensionError, DomainError
 from .metric import MetricSpec
 from .oracle import CheckReport, DEFAULT_TOLERANCE, _residual_report
-from .rootsys import Coords, RootSystem, build_root_system, negate
+from .rootsys import Coords, RootSystem, _join, build_root_system, negate
 
 
 class EpsRoot(NamedTuple):
@@ -226,6 +225,13 @@ def _validated_coeffs(n: int, coeffs) -> np.ndarray:
     return out
 
 
+def _weights(c: np.ndarray, p, r, q) -> np.ndarray:
+    """w[p, r, q] = (c_rq - c_pr) / (2 c_pq), the difference first, on index triples of the
+    weights mu of the standard representation: c[p, q] is the coefficient of the root block
+    of mu_p - mu_q (eps_p - eps_q here), 1 where that is no root, met only by zeros."""
+    return (c[r, q] - c[p, r]) / (2 * c[p, q])
+
+
 def u_sun(n: int, coeffs, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The symmetric term U for SU(n+1)/T as one weighted sum over index triples.
 
@@ -236,8 +242,7 @@ def u_sun(n: int, coeffs, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     if n < 2:
         raise DomainError("u_sun requires n >= 2")
-    c = _validated_coeffs(n, coeffs)
-    w = (c[None, :, :] - c[:, :, None]) / (2 * c[:, None, :])
+    w = _weights(_validated_coeffs(n, coeffs), *np.ix_(*[np.arange(n + 1)] * 3))
     xm, ym = su_from_coords(n, x), su_from_coords(n, y)
     out = np.einsum("prq,...pr,...rq->...pq", w, xm, ym)
     out += np.einsum("prq,...pr,...rq->...pq", w, ym, xm)
@@ -267,14 +272,31 @@ def u_su3(c1: float, c2: float, c3: float, x: np.ndarray, y: np.ndarray) -> np.n
     return su_to_coords(2, acc)
 
 
+def _products(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every nonzero product of two entries of a stack of matrices, e_pq e_rs = delta_qr e_ps:
+    columns (x, y, p, r, s, value) of the entry (p, s) of stack[x] @ stack[y]."""
+    x, p, q = np.nonzero(stack)
+    a, b = _join(q, p)
+    return x[a], x[b], p[a], q[a], q[b], stack[x[a], p[a], q[a]] * stack[x[b], p[b], q[b]]
+
+
+def _net(shape: tuple[int, ...], *parts) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The sum of the values of (index columns, values) parts per key, sorted row-major."""
+    keys = np.concatenate([np.ravel_multi_index(index, shape) for index, _ in parts])
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], np.concatenate([values for _, values in parts])[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return np.unravel_index(keys[first], shape), np.add.reduceat(values, first)
+
+
 def check_su_crosscheck(
     rs: RootSystem,
     sc: StructureConstants,
     spec: MetricSpec,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[CheckReport]:
-    """Bracket-table, Killing-form and U agreement through the alignment. Bracket
-    and Killing witnesses are full-basis pairs (x, y), indexed like
+    """Bracket-table, Killing-form and U agreement through the alignment, compared on
+    entry lists. Bracket and Killing witnesses are full-basis pairs (x, y), indexed like
     ``killing_gram(rs, sc).labels``; U witnesses are m-basis pairs."""
     if rs.family != "A":
         raise ConfigurationError("the special unitary cross-check requires family A")
@@ -283,24 +305,29 @@ def check_su_crosscheck(
     al = build_alignment(n)
     kf = killing_gram(rs, sc)
     _, _, (x, o, y, v) = _adjoint(rs, sc)
-    phi = np.stack([
-        al.to_matrix(LieElement(n, np.eye(n)[lab[1]]) if lab[0] == "H"
-                     else LieElement.root_vector(n, lab[1]))
-        for lab in kf.labels
-    ])
-    rhs = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
-    lhs = np.zeros_like(rhs)
-    np.add.at(lhs, (x, y), v[:, None, None] * phi[o])  # phi([x, y]) = sum_o ad[x, o, y] phi[o]
-    brackets = np.abs(lhs - rhs).max(axis=(-2, -1))
-    killing = np.abs(kf.gram - su_killing(n, phi[:, None], phi[None, :]))
-    reports = [_residual_report("su-bracket-tables", brackets, 0.0),
-               _residual_report("su-killing-form", killing, 0.0)]
+    phi = np.stack([al.to_matrix(LieElement(n, np.eye(n)[key]) if kind == "H"
+                                 else LieElement.root_vector(n, key)) for kind, key in kf.labels])
+    ux, up, uq = np.nonzero(phi)
+    a, b = _join(o, ux)  # phi([x, y]) = sum_o ad[x, o, y] phi[o]
+    xy, yx, p, _, s, prod = _products(phi)  # phi_x phi_y: [x, y] gets +, [y, x] gets -
+    (bx, by, _, _), brackets = _net(kf.gram.shape + (n + 1,) * 2,
+                                    ((x[a], y[a], up[b], uq[b]), v[a] * phi[ux[b], up[b], uq[b]]),
+                                    ((xy, yx, p, s), -prod), ((yx, xy, p, s), prod))
+    trace = np.zeros(kf.gram.shape, dtype=complex)
+    np.add.at(trace, (xy[p == s], yx[p == s]), prod[p == s])
+    reports = [_residual_report("su-bracket-tables", np.abs(brackets), 0.0, (bx, by)),
+               _residual_report("su-killing-form", np.abs(kf.gram - 2 * (n + 1) * trace), 0.0)]
 
     if n >= 2:
-        coeffs = {simple_to_eps(n, a): spec.c(a) for a in rs.positive_roots}
-        e = np.diag(al.coord_signs)  # row i: the transported basis vector e_i
-        residual = u_sun(n, coeffs, e[:, None, :], e[None, :, :])
-        i, j, k, u, _ = _entries(sc, build_m_basis(rs), spec)
-        residual[i, j, k] -= u * al.coord_signs[k]  # off the keys, u_sun's own value
-        reports.append(_residual_report("su-u-term", np.abs(residual).max(axis=-1), tolerance))
+        c = _validated_coeffs(n, {simple_to_eps(n, a): spec.c(a) for a in rs.positive_roots})
+        e = np.stack(su_m_basis(n)) * al.coord_signs[:, None, None]  # the transported basis
+        products = _products(e)  # the coordinates are on the strict upper triangle, p < q
+        i, j, p, r, q, prod = (column[products[2] < products[4]] for column in products)
+        u_pq = _weights(c, p, r, q) * (prod.real + prod.imag)  # = U(e_i, e_j)_pq = U(e_j, e_i)_pq
+        # each product is real or imaginary: the coordinate of Re U_pq, or of Im U_pq, the next
+        k = su_from_coords(n, np.arange(len(e))).real.astype(int)[p, q] + (prod.imag != 0)
+        ci, cj, ck, u, _ = _entries(sc, build_m_basis(rs), spec)
+        (ui, uj, _), residual = _net((len(e),) * 3, ((ci, cj, ck), -u * al.coord_signs[ck]),
+                                     ((i, j, k), u_pq), ((j, i, k), u_pq))
+        reports.append(_residual_report("su-u-term", np.abs(residual), tolerance, (ui, uj)))
     return reports

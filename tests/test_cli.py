@@ -1,5 +1,7 @@
 """CLI configuration, serialization, exit codes, determinism."""
 
+import atexit
+import gc
 import hashlib
 import json
 import os
@@ -404,3 +406,74 @@ def test_cli_documents_are_byte_identical_to_the_recorded_ones(tmp_path, job):
     document = json.dumps({key: payload[key] for key in ("basis", "tensor", "meta")},
                           sort_keys=True)
     assert hashlib.sha256(document.encode()).hexdigest() == digest
+
+
+def test_main_keeps_the_callers_gc(tmp_path):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    for _ in range(2):
+        code, _ = run_cli(tmp_path, "--family", "A", "--rank", "2", "--checks", "all")
+        assert code == EXIT_OK
+        assert gc.get_freeze_count() == frozen and gc.isenabled() == enabled
+
+
+def test_the_report_is_json_dump_byte_for_byte(tmp_path):
+    code, out = run_cli(tmp_path, "--family", "D", "--rank", "4", "--checks", "all")
+    assert code == EXIT_OK  # a document of many more than 512 encoder chunks
+    assert out.read_text() == json.dumps(json.loads(out.read_text()), indent=2) + "\n"
+
+
+def _cli_child(cwd, *args, code="import sys; from flagconn.cli import main; sys.exit(main())"):
+    """A fresh interpreter that runs one job through main and exits with its status."""
+    src = str(Path(flagconn.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def _random_a4_coefficients(path):
+    roots = build_root_system("A", 4).positive_roots
+    c = np.random.default_rng(4).uniform(0.5, 5.0, len(roots))
+    path.write_text(json.dumps([{"root": list(a), "c": v} for a, v in zip(roots, c.tolist())]))
+    return str(path)
+
+
+def test_a_fresh_process_job_equals_the_in_process_one(tmp_path, monkeypatch, capsys):
+    coeffs = _random_a4_coefficients(tmp_path / "coeffs.json")
+    argv = ["--family", "A", "--rank", "4", "--coeffs", coeffs, "--checks", "all",
+            "--output", "doc.json"]
+    (tmp_path / "child").mkdir()
+    (tmp_path / "here").mkdir()
+    child = _cli_child(tmp_path / "child", *argv)
+    monkeypatch.chdir(tmp_path / "here")
+    assert run_job(parse_config(argv)) == child.returncode == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == child.stdout.splitlines()
+    assert (tmp_path / "child" / "doc.json").read_bytes() == (
+        tmp_path / "here" / "doc.json").read_bytes()
+
+
+def test_main_freezes_the_heap_once_at_exit(tmp_path):
+    # gc.freeze is looked up when main runs, so a stand-in that prints shows each call
+    code = ("import gc, sys\n"
+            "gc.freeze = lambda: print('freeze')\n"
+            "from flagconn.cli import main\n"
+            "for _ in range(3):\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print('returned')\n")
+    child = _cli_child(tmp_path, "--family", "A", "--rank", "2", "--output", "doc.json",
+                       code=code)
+    assert child.returncode == EXIT_OK, child.stderr
+    out = child.stdout.splitlines()
+    assert out[-2:] == ["returned", "freeze"] and out.count("freeze") == 1
+
+
+def test_exit_codes_survive_the_exit_hook(tmp_path):
+    coeffs = _random_a4_coefficients(tmp_path / "coeffs.json")
+    job = ["--family", "A", "--rank", "4", "--checks", "all", "--output", "doc.json"]
+    assert _cli_child(tmp_path, *job).returncode == EXIT_OK
+    failed = _cli_child(tmp_path, *job, "--coeffs", coeffs, "--tolerance", "1e-300")
+    assert failed.returncode == EXIT_CHECK_FAILED and "FAIL" in failed.stdout
+    missing = json.loads(Path(coeffs).read_text())[1:]
+    (tmp_path / "missing.json").write_text(json.dumps(missing))
+    config_error = _cli_child(tmp_path, *job, "--coeffs", "missing.json")
+    assert config_error.returncode == EXIT_CONFIG_ERROR
+    assert config_error.stderr.startswith("error: ")

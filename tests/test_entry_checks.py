@@ -26,6 +26,7 @@ from flagconn import (
     chevalley_constants,
     check_metric_compat,
     check_oracle_equivalence,
+    check_su_crosscheck,
     check_torsion,
     killing_gram,
     m_bracket_table,
@@ -189,6 +190,15 @@ def test_checks_allocate_few_dense_arrays_at_a10(tmp_path):
                     output_path=str(tmp_path / "a10.json"))
     assert flagconn.cli.run_job(job) == 0  # warms the encoder
     assert _peak_bytes(flagconn.cli.run_job, job) < 0.1 * dense
+
+
+def test_the_su_crosscheck_allocates_little_at_a12():
+    pl = pipeline("A", 12)
+    spec = list(_metrics(pl.rs))[1]
+    assert all(r.passed for r in check_su_crosscheck(pl.rs, pl.sc, spec))  # warms the caches
+    # the dense commutator stacks peaked at 312 MB here; one (dim², n+1, n+1) complex
+    # stack is 76 MB
+    assert _peak_bytes(check_su_crosscheck, pl.rs, pl.sc, spec) < 20e6
 
 
 def test_an_a20_job_peaks_below_300_mb(tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from flagconn import (
     u_su3,
     u_sun,
 )
+import flagconn.su_realization
+from flagconn.chevalley import LieElement, build_m_basis
+from flagconn.oracle import DEFAULT_TOLERANCE, _residual_report
 from flagconn.rootsys import add_roots, negate
 from flagconn.su_realization import positive_eps_roots, su_from_coords, su_to_coords
 from conftest import pipeline, random_metric, random_mvector
@@ -338,3 +342,95 @@ def test_su_exact_checks_are_judged_exactly(n):
     for name in ("su-bracket-tables", "su-killing-form"):
         assert reports[name].threshold == 0.0
         assert reports[name].max_residual == 0.0 and reports[name].passed
+
+
+def _crosscheck_dense(rs, sc, spec, tolerance=DEFAULT_TOLERANCE):
+    """The dense route that check_su_crosscheck replaced, kept as its reference: the
+    (dim², n+1, n+1) commutator stacks and u_sun on every transported basis pair. It
+    reads the same names through the su_realization namespace, so a patch reaches both."""
+    su = flagconn.su_realization
+    n = rs.rank
+    al = su.build_alignment(n)
+    kf = su.killing_gram(rs, sc)
+    _, _, (x, o, y, v) = su._adjoint(rs, sc)
+    phi = np.stack([
+        al.to_matrix(LieElement(n, np.eye(n)[lab[1]]) if lab[0] == "H"
+                     else LieElement.root_vector(n, lab[1]))
+        for lab in kf.labels
+    ])
+    rhs = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
+    lhs = np.zeros_like(rhs)
+    np.add.at(lhs, (x, y), v[:, None, None] * phi[o])  # phi([x, y]) = sum_o ad[x, o, y] phi[o]
+    brackets = np.abs(lhs - rhs).max(axis=(-2, -1))
+    killing = np.abs(kf.gram - su_killing(n, phi[:, None], phi[None, :]))
+    reports = [_residual_report("su-bracket-tables", brackets, 0.0),
+               _residual_report("su-killing-form", killing, 0.0)]
+    if n >= 2:
+        coeffs = {simple_to_eps(n, a): spec.c(a) for a in rs.positive_roots}
+        e = np.diag(al.coord_signs)  # row i: the transported basis vector e_i
+        residual = u_sun(n, coeffs, e[:, None, :], e[None, :, :])
+        i, j, k, u, _ = su._entries(sc, build_m_basis(rs), spec)
+        residual[i, j, k] -= u * al.coord_signs[k]  # off the keys, u_sun's own value
+        reports.append(_residual_report("su-u-term", np.abs(residual).max(axis=-1), tolerance))
+    return reports
+
+
+def _su_metrics(rs):
+    """The normal metric, a log-uniform one in [0.1, 10] and one tied to the levels {1, 2}."""
+    rng, k = np.random.default_rng(rs.rank), len(rs.positive_roots)
+    yield MetricSpec.normal(rs)
+    yield MetricSpec.from_values(rs, np.exp(rng.uniform(np.log(0.1), np.log(10.0), k)))
+    yield MetricSpec.from_values(rs, rng.choice([1.0, 2.0], k))
+
+
+def _both_routes(pl, spec):
+    return check_su_crosscheck(pl.rs, pl.sc, spec), _crosscheck_dense(pl.rs, pl.sc, spec)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_entry_route_equals_the_dense_reference(n):
+    pl = pipeline("A", n)
+    for spec in _su_metrics(pl.rs):
+        entries, dense = _both_routes(pl, spec)
+        assert [r.check_name for r in entries] == [r.check_name for r in dense]
+        assert [r.passed for r in entries] == [r.passed for r in dense] == [True] * len(dense)
+        for ours, ref in zip(entries[:2], dense[:2]):  # the exact comparisons
+            assert ours == ref and ours.max_residual == 0.0 and ours.witness is None
+        if n >= 2:
+            assert entries[2].max_residual <= entries[2].threshold == dense[2].threshold
+
+
+def test_su_alignment_sign_negative_control(a3, monkeypatch):
+    # E_alpha and both m coordinates of one non-simple root change sign together
+    al = flagconn.su_realization.build_alignment(3)
+    t = 4
+    alpha = a3.rs.positive_roots[t]
+    assert sum(alpha) == 2
+    signs = dict(al.signs)
+    signs[alpha] = -signs[alpha]
+    coord_signs = al.coord_signs.copy()
+    coord_signs[2 * t:2 * t + 2] *= -1
+    flipped = dataclasses.replace(al, signs=MappingProxyType(signs), coord_signs=coord_signs)
+    monkeypatch.setattr(flagconn.su_realization, "build_alignment", lambda n: flipped)
+    entries, dense = _both_routes(a3, random_metric(a3.rs, 89))
+    assert entries[:2] == dense[:2]
+    assert not entries[0].passed and entries[0].max_residual == 2.0  # +-1 against -+1
+    assert entries[1].passed  # the Killing form sees the sign squared
+    assert not entries[2].passed and entries[2].witness == dense[2].witness
+
+
+def test_su_coefficient_negative_control(a3, monkeypatch):
+    validated = flagconn.su_realization._validated_coeffs
+
+    def perturbed(n, coeffs):
+        c = validated(n, coeffs).copy()
+        c[0, 2] = c[2, 0] = c[0, 2] * (1 + 1e-3)  # the block of eps_1 - eps_3
+        return c
+
+    monkeypatch.setattr(flagconn.su_realization, "_validated_coeffs", perturbed)
+    entries, dense = _both_routes(a3, random_metric(a3.rs, 89))
+    assert entries[0].passed and entries[1].passed
+    report = entries[2]
+    assert not report.passed and report.witness == dense[2].witness
+    assert report.max_residual == pytest.approx(dense[2].max_residual, rel=1e-9)
+    assert report.max_residual > 1e-4
