@@ -15,7 +15,8 @@ import gc
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,42 +35,72 @@ from .oracle import (
 from .rootsys import FAMILIES, build_root_system
 from .su_realization import check_su_crosscheck
 
-CHECK_NAMES = ("oracle", "torsion", "metric", "lemma2", "su-crosscheck")
 FORMATS = ("json", "csv")
 SPARSE_THRESHOLD = 1e-12
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+_exit_hook: list = []  # gc.freeze, once main has registered it with atexit
+
+# Each check in report order: the families it is defined for, and the call that makes its
+# reports from the job's stages. CHECK_NAMES, "all" and run_job read this table, so adding a
+# check is adding a row. The calls look their functions up in this module when they run.
+CHECKS = {
+    "oracle": (FAMILIES, lambda job: [check_oracle_equivalence(job.rs, job.sc, job.spec,
+                                                               job.tolerance)]),
+    "torsion": (FAMILIES, lambda job: [check_torsion(job.tensor, job.sc, job.tolerance)]),
+    "metric": (FAMILIES, lambda job: [check_metric_compat(job.tensor, job.gram, job.tolerance)]),
+    "lemma2": (FAMILIES, lambda job: [check_lemma2(job.rs)]),
+    "su-crosscheck": (("A",), lambda job: check_su_crosscheck(job.rs, job.sc, job.spec,
+                                                              job.tolerance)),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 @dataclass
 class JobConfig:
     """One pipeline run: which manifold, which metric, which checks."""
 
-    family: str
-    rank: int
+    family: str | None = None
+    rank: int | None = None
     coefficients: object = "normal"  # "normal" or list of {"root": [...], "c": ...}
-    checks: tuple[str, ...] = ()
+    checks: tuple[str, ...] | str = ()  # check names, a comma string, "all" for each defined one
     tolerance: float = DEFAULT_TOLERANCE
     seed: int = 0
     output_path: str | None = None
     format: str = "json"
 
-    def validate(self) -> None:
-        if self.format not in FORMATS:
-            raise ConfigurationError(f"unknown output format {self.format!r}")
+    def validate(self) -> "JobConfig":
+        """This job with every field but the coefficients coerced and checked: the one gate
+        of flags, config files and run_job."""
+        if self.family is None or self.rank is None:
+            raise ConfigurationError("--family and --rank are required (flags or config file)")
+        rank = _number(int, self.rank, "rank")
+        family = build_root_system(self.family, rank).family  # refuses the family or the rank
+        names = self.checks.split(",") if isinstance(self.checks, str) else self.checks
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise ConfigurationError("checks must be a comma list or a list of check names")
+        checks = []
+        for name in dict.fromkeys(c for n in names if n for c in (CHECKS if n == "all" else [n])):
+            if name not in CHECKS:
+                raise ConfigurationError(f"unknown check {name!r}; "
+                                         f"expected a subset of {CHECK_NAMES}")
+            families = CHECKS[name][0]
+            if family in families:
+                checks.append(name)
+            elif name in names:  # named, not only reached through "all"
+                raise ConfigurationError(
+                    f"{name} is only defined for family {' or '.join(families)}")
+        tolerance = _number(float, self.tolerance, "tolerance")
+        if not (tolerance > 0 and np.isfinite(tolerance)):
+            raise ConfigurationError("tolerance must be positive and finite")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigurationError(f"output must be a file path, got {self.output_path!r}")
-        if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
-            raise ConfigurationError("tolerance must be positive and finite")
-        for name in self.checks:
-            if name not in CHECK_NAMES:
-                raise ConfigurationError(
-                    f"unknown check {name!r}; expected a subset of {CHECK_NAMES}"
-                )
-        if "su-crosscheck" in self.checks and self.family.upper() != "A":
-            raise ConfigurationError("su-crosscheck is only defined for family A")
+        if self.format not in FORMATS:
+            raise ConfigurationError(f"unknown output format {self.format!r}; expected {FORMATS}")
+        return replace(self, family=family, rank=rank, checks=tuple(checks),
+                       tolerance=tolerance, seed=_number(int, self.seed, "seed"))
 
 
 def _number(kind, value, key: str):
@@ -144,7 +175,7 @@ def read_tensor(path: str) -> tuple[ConnectionTensor, dict]:
 def run_job(config: JobConfig) -> int:
     """Execute one configured run; returns the process exit status."""
     try:
-        config.validate()
+        config = config.validate()
         rs = build_root_system(config.family, config.rank)
         spec = metric_spec_from_config(rs, config.coefficients)
     except FlagConnError as exc:
@@ -156,18 +187,9 @@ def run_job(config: JobConfig) -> int:
     gram = build_metric(rs, killing_gram(rs, sc), spec)
     tensor = assemble_tensor(sc, mb, spec)
 
-    reports = []
-    for name in config.checks:
-        if name == "oracle":
-            reports.append(check_oracle_equivalence(rs, sc, spec, config.tolerance))
-        elif name == "torsion":
-            reports.append(check_torsion(tensor, sc, config.tolerance))
-        elif name == "metric":
-            reports.append(check_metric_compat(tensor, gram, config.tolerance))
-        elif name == "lemma2":
-            reports.append(check_lemma2(rs))
-        elif name == "su-crosscheck":
-            reports.extend(check_su_crosscheck(rs, sc, spec, config.tolerance))
+    job = SimpleNamespace(rs=rs, sc=sc, spec=spec, gram=gram, tensor=tensor,
+                          tolerance=config.tolerance)
+    reports = [report for name in config.checks for report in CHECKS[name][1](job)]
 
     coeff_list = [
         {"root": list(alpha), "c": spec.c(alpha)} for alpha in rs.positive_roots
@@ -221,75 +243,43 @@ def _load_coefficients(arg: str):
 
 
 def parse_config(argv=None) -> JobConfig:
-    """Assemble a JobConfig from flags, optionally layered over a config file."""
+    """The flags layered over the config file, checked by JobConfig.validate."""
     parser = argparse.ArgumentParser(
         prog="flagconn",
         description="Levi-Civita connection of a flag manifold G/T for an "
         "invariant metric, with built-in verification checks.",
     )
     parser.add_argument("--config", help="JSON file with JobConfig fields; flags override")
-    parser.add_argument("--family", choices=[*FAMILIES, *map(str.lower, FAMILIES)])
-    parser.add_argument("--rank", type=int)
-    parser.add_argument("--coeffs", help='"normal" or path to a JSON coefficient list')
+    parser.add_argument("--family", help=f"one of {', '.join(FAMILIES)}")
+    parser.add_argument("--rank", help="rank of the root system")
+    parser.add_argument("--coeffs", dest="coefficients", metavar="COEFFS",
+                        help='"normal" or path to a JSON coefficient list')
     parser.add_argument("--checks", help='comma-separated subset of '
                         f'{",".join(CHECK_NAMES)}, or "all"')
-    parser.add_argument("--tolerance", type=float)
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--tolerance", help=f"residual threshold (default {DEFAULT_TOLERANCE})")
+    parser.add_argument("--seed", help="recorded in the output metadata (default 0)")
     parser.add_argument("--output", help="output file path")
-    parser.add_argument("--format", choices=FORMATS)
-    args = parser.parse_args(argv)
+    parser.add_argument("--format", help=f"one of {', '.join(FORMATS)} (default json)")
+    flags = vars(parser.parse_args(argv))
 
-    file_cfg: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
+    job: dict = {}
+    if config_path := flags.pop("config"):
+        with open(config_path, encoding="utf-8") as fh:
+            job = json.load(fh)
+        if not isinstance(job, dict):
             raise ConfigurationError("a config file must hold a JSON object")
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    family = pick(args.family, "family", None)
-    rank = pick(args.rank, "rank", None)
-    if family is None or rank is None:
-        parser.error("--family and --rank are required (flags or config file)")
-
-    coefficients = file_cfg.get("coefficients", "normal")
-    if args.coeffs is not None:
-        coefficients = _load_coefficients(args.coeffs)
-
-    checks_value = pick(args.checks, "checks", "")
-    if isinstance(checks_value, str):
-        checks_value = [c for c in checks_value.split(",") if c]
-    if not isinstance(checks_value, list):
-        raise ConfigurationError("checks must be a comma list or a list of check names")
-    checks: list[str] = []
-    for name in checks_value:
-        if name == "all":
-            checks.extend(c for c in CHECK_NAMES
-                          if c != "su-crosscheck" or str(family).upper() == "A")
-        else:
-            checks.append(name)
-
-    return JobConfig(
-        family=str(family).upper(),
-        rank=_number(int, rank, "rank"),
-        coefficients=coefficients,
-        checks=tuple(dict.fromkeys(checks)),
-        tolerance=_number(float, pick(args.tolerance, "tolerance", DEFAULT_TOLERANCE), "tolerance"),
-        seed=_number(int, pick(args.seed, "seed", 0), "seed"),
-        output_path=pick(args.output, "output", None),
-        format=pick(args.format, "format", "json"),
-    )
+    if flags["coefficients"] is not None:
+        flags["coefficients"] = _load_coefficients(flags["coefficients"])
+    job.update((key, value) for key, value in flags.items() if value is not None)
+    job["output_path"] = job.pop("output", None)
+    return JobConfig(**{f.name: job[f.name] for f in fields(JobConfig) if f.name in job}).validate()
 
 
 def main(argv=None) -> int:
     # At exit, freeze the heap: the final collections then skip numpy's and flagconn's objects
     # (~30 ms a job; no finalizers here, files close in with blocks). In-process callers keep GC.
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    if not _exit_hook:  # once per process: atexit.unregister would leave an empty slot
+        _exit_hook.append(atexit.register(gc.freeze))
     try:
         config = parse_config(argv)
     except (OSError, FlagConnError) as exc:

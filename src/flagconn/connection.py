@@ -40,7 +40,7 @@ from .chevalley import (
     project_m,
 )
 from .errors import DomainError
-from .metric import MetricSpec, _checked, _coefficients
+from .metric import MetricSpec, _checked, _unhashable
 from .rootsys import Coords, RootSystem, _check_roots, abs_root, add_roots, negate
 
 
@@ -174,8 +174,8 @@ def _entries(sc: StructureConstants, mb: MBasis, spec: MetricSpec):
     values = spec._values(sc.rs)
     try:
         return _gamma_entries(sc, mb, *values)
-    except TypeError:  # an unhashable value is no real number: the check raises
-        return _coefficients(sc.rs, values)
+    except TypeError:  # an unhashable value
+        _unhashable(sc.rs, values)
 
 
 def u_bilinear(

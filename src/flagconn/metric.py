@@ -34,6 +34,12 @@ def _coefficients(rs: RootSystem, values: tuple) -> np.ndarray:
         f"metric coefficient for root {alpha} must be positive and finite, got {v!r}")
 
 
+def _unhashable(rs: RootSystem, values: tuple):
+    """Raise for ``values`` that failed as a memo key: the check's error, else this one."""
+    _coefficients(rs, values)
+    raise ConfigurationError(f"metric coefficients must be hashable real numbers, got {values!r}")
+
+
 @functools.lru_cache(maxsize=1, typed=True)  # typed: 3 + 0j must miss a cached 3.0
 def _checked(rs: RootSystem, *values) -> np.ndarray:
     """The coefficients of one metric, checked once; read-only, shared through the cache."""
@@ -105,8 +111,8 @@ def build_metric(rs: RootSystem, killing: KillingForm, spec: MetricSpec) -> Metr
     values = spec._values(rs)
     try:
         return _gram(rs, killing, *values)
-    except TypeError:  # an unhashable value is no real number: the check raises
-        return _coefficients(rs, values)
+    except TypeError:  # an unhashable value
+        _unhashable(rs, values)
 
 
 def inner(gram: MetricGram, x: np.ndarray, y: np.ndarray) -> float:

@@ -15,6 +15,7 @@ import pytest
 import flagconn.cli
 from flagconn import build_metric, build_root_system, chevalley_constants, killing_gram
 from flagconn.cli import (
+    CHECK_NAMES,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -151,20 +152,30 @@ def test_bad_family_rank_and_checks(tmp_path, capsys):
                                {"root": [1, 1], "c": 3}]}),
     ("json", {"coefficients": [{"root": [0, 1], "c": 1}, {"root": [1.5, 0], "c": 2},
                                {"root": [1, 1], "c": 3}]}),
+    ("json", {"checks": [["oracle"]]}),
+    ("json", {"checks": [{"a": 1}]}),
+    ("json", ("--family", "A", "--rank", "two")),
+    ("json", ("--family", "X", "--rank", "2")),
+    ("json", ("--family", "A", "--rank", "2", "--format", "xml")),
+    ("json", ("--family", "A")),
 ], ids=["json-unwritable", "csv-unwritable", "rank", "tolerance", "checks", "top-level-list",
         "output-bool", "output-int", "rank-fraction", "rank-bool", "rank-inf", "seed-fraction",
-        "tolerance-bool", "c-bool", "c-too-large", "root-fraction"])
+        "tolerance-bool", "c-bool", "c-too-large", "root-fraction", "checks-list-in-list",
+        "checks-object-in-list", "rank-flag", "family-flag", "format-flag", "no-rank-flag"])
 def test_bad_outside_input_is_a_config_error(tmp_path, capsys, fmt, config):
-    args = ["--family", "A", "--format", fmt]
-    if config is None:  # the output directory does not exist
-        out = tmp_path / "missing" / f"out.{fmt}"
+    out = tmp_path / f"out.{fmt}"
+    if isinstance(config, tuple):  # the flags alone, no config file
+        args = list(config)
     else:
-        out = tmp_path / f"out.{fmt}"
-        cpath = tmp_path / "job.json"
-        cpath.write_text(json.dumps(config))
-        args += ["--config", str(cpath)]
-    if config is None or "rank" not in config:
-        args += ["--rank", "2"]
+        args = ["--family", "A", "--format", fmt]
+        if config is None:  # the output directory does not exist
+            out = tmp_path / "missing" / f"out.{fmt}"
+        else:
+            cpath = tmp_path / "job.json"
+            cpath.write_text(json.dumps(config))
+            args += ["--config", str(cpath)]
+        if config is None or "rank" not in config:
+            args += ["--rank", "2"]
     if not (isinstance(config, dict) and "output" in config):
         args += ["--output", str(out)]
     code = main(args)
@@ -263,6 +274,49 @@ def test_config_file_with_flag_override(tmp_path):
     config = parse_config(["--config", str(cpath), "--tolerance", "1e-3", "--rank", "3"])
     assert config.tolerance == 1e-3
     assert config.rank == 3
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tolerance", "1e-3"),
+    ("seed", "x"),
+    ("checks", ("oracle", "oracle")),
+    ("checks", ("all",)),
+    ("rank", 2.0),
+    ("checks", "oracle"),
+    ("checks", ("lemma2", "all", "torsion")),
+    ("family", "b"),
+], ids=["tolerance-string", "seed-string", "checks-repeated", "checks-all", "rank-float",
+        "checks-string", "checks-all-among-names", "family-lower-case"])
+def test_run_job_and_main_give_one_result_for_one_job(tmp_path, monkeypatch, capsys, field, value):
+    job = dict({"family": "A", "rank": 2, "checks": ("torsion",)}, **{field: value})
+    config_file = tmp_path / "job.json"
+    config_file.write_text(json.dumps(dict(job, output="doc.json")))
+    results = []
+    for side, run in (("direct", lambda: run_job(JobConfig(**job, output_path="doc.json"))),
+                      ("file", lambda: main(["--config", str(config_file)]))):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        code = run()
+        out = tmp_path / side / "doc.json"
+        results.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    assert results[0] == results[1]
+    code, streams, document = results[0]
+    if code == EXIT_CONFIG_ERROR:
+        assert streams.err.startswith("error: ") and streams.err.count("\n") == 1
+        assert document is None
+    else:
+        assert code == EXIT_OK and streams.err == ""
+        payload = json.loads(document)
+        names = [c["check_name"] for c in payload["checks"]]
+        assert len(names) == len(set(names)) > 0 and json.dumps(payload["meta"]["rank"]) == "2"
+
+
+def test_help_names_the_families_checks_and_formats(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert stop.value.code == 0
+    assert "A, B, C, D" in text and ",".join(CHECK_NAMES) in text and "json, csv" in text
 
 
 def test_run_job_api_matches_main(tmp_path):
@@ -414,6 +468,14 @@ def test_main_keeps_the_callers_gc(tmp_path):
         code, _ = run_cli(tmp_path, "--family", "A", "--rank", "2", "--checks", "all")
         assert code == EXIT_OK
         assert gc.get_freeze_count() == frozen and gc.isenabled() == enabled
+
+
+def test_main_registers_its_exit_hook_once(tmp_path):
+    code, _ = run_cli(tmp_path, "--family", "A", "--rank", "2")
+    registered = atexit._ncallbacks()
+    for _ in range(3):
+        assert run_cli(tmp_path, "--family", "A", "--rank", "2")[0] == EXIT_OK
+    assert code == EXIT_OK and atexit._ncallbacks() == registered
 
 
 def test_the_report_is_json_dump_byte_for_byte(tmp_path):

@@ -155,6 +155,28 @@ def test_a_coefficient_is_a_real_number_and_no_bool(a2, bad):
         build_metric(a2.rs, a2.killing, MetricSpec.normal(a2.rs, bad))
 
 
+class _UnhashableReal(float):
+    __hash__ = None
+
+
+@pytest.mark.parametrize("slot", [0, 2])
+def test_an_unhashable_real_number_is_a_configuration_error(a2, slot):
+    # it passes the real-number check, so the memo's TypeError is the only sign of it
+    values = [1.0, 2.0, 3.0]
+    values[slot] = _UnhashableReal(values[slot])
+    spec = MetricSpec.from_values(a2.rs, values)
+    x = np.ones(a2.mb.dim)
+    for call in (lambda: build_metric(a2.rs, a2.killing, spec),
+                 lambda: nabla(a2.sc, a2.mb, spec, x, x),
+                 lambda: assemble_tensor(a2.sc, a2.mb, spec),
+                 lambda: check_oracle_equivalence(a2.rs, a2.sc, spec)):
+        with pytest.raises(ConfigurationError, match="hashable"):
+            call()
+    values[slot] = _UnhashableReal(-1.0)  # a value the coefficient check refuses keeps its error
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        build_metric(a2.rs, a2.killing, MetricSpec.from_values(a2.rs, values))
+
+
 def test_real_numbers_of_any_type_are_coefficients(a2):
     values = [2, np.int64(3), Fraction(1, 2)]
     expected = build_metric(a2.rs, a2.killing, MetricSpec.from_values(a2.rs, [2.0, 3.0, 0.5]))
