@@ -15,7 +15,7 @@ import gc
 import itertools
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -242,14 +242,19 @@ def _load_coefficients(arg: str):
     return data
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one error line and exit 2, as for every other bad input
+        raise ConfigurationError(message)
+
+
 def parse_config(argv=None) -> JobConfig:
     """The flags layered over the config file, checked by JobConfig.validate."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flagconn",
         description="Levi-Civita connection of a flag manifold G/T for an "
         "invariant metric, with built-in verification checks.",
     )
-    parser.add_argument("--config", help="JSON file with JobConfig fields; flags override")
+    parser.add_argument("--config", help="JSON object of job settings; flags override")
     parser.add_argument("--family", help=f"one of {', '.join(FAMILIES)}")
     parser.add_argument("--rank", help="rank of the root system")
     parser.add_argument("--coeffs", dest="coefficients", metavar="COEFFS",
@@ -268,11 +273,14 @@ def parse_config(argv=None) -> JobConfig:
             job = json.load(fh)
         if not isinstance(job, dict):
             raise ConfigurationError("a config file must hold a JSON object")
+        if unknown := [key for key in job if key not in flags]:  # a typo must not mean a default
+            raise ConfigurationError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                                     f"expected a subset of {', '.join(flags)}")
     if flags["coefficients"] is not None:
         flags["coefficients"] = _load_coefficients(flags["coefficients"])
     job.update((key, value) for key, value in flags.items() if value is not None)
     job["output_path"] = job.pop("output", None)
-    return JobConfig(**{f.name: job[f.name] for f in fields(JobConfig) if f.name in job}).validate()
+    return JobConfig(**job).validate()
 
 
 def main(argv=None) -> int:

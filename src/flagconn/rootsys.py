@@ -7,13 +7,17 @@ sorting and for selecting canonical pairs downstream. Systems are generated
 by root-string closure from the Cartan pairing, not from hard-coded tables,
 so the standard positive-root counts act as an independent cross-check.
 One root-triple table per system lists every pair of roots whose sum is a
-root as index rows, found through integer keys linear in the coordinates; the
-public ``sum_table`` is built from it.
+root as index rows; the public ``sum_table`` is built from it. The sums are
+found through ``uint64`` keys linear in the coordinates modulo 2**64, at every
+rank: wrapping arithmetic keeps the key of a sum the sum of the keys, a build
+in which two roots share a key is refused, and a key match counts only where
+the coordinates add up exactly.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -135,10 +139,20 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     fam = str(family).upper()
     if fam not in FAMILIES:
         raise ConfigurationError(f"unsupported family {family!r}; expected one of {FAMILIES}")
+    try:  # a numpy integer builds the system of the Python int
+        n = operator.index(rank)
+    except TypeError:
+        n = None
     # a bool is an int, and ("A", True) == ("A", 1) as a cache key
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank < _MIN_RANK[fam]:
-        raise ConfigurationError(f"family {fam} requires rank >= {_MIN_RANK[fam]}, got {rank}")
-    return _root_system(fam, rank)
+    if n is None or isinstance(rank, bool) or n < _MIN_RANK[fam]:
+        raise ConfigurationError(
+            f"family {fam} requires an integer rank >= {_MIN_RANK[fam]}, got {rank!r}")
+    return _root_system(fam, n)
+
+
+def _key_multipliers(rank: int) -> np.ndarray:
+    """Fixed odd multipliers of the root keys: the powers of the 64-bit golden-ratio constant."""
+    return np.cumprod(np.full(rank, 0x9E3779B97F4A7C15, dtype=np.uint64))
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,24 +163,28 @@ def _root_system(fam: str, rank: int) -> RootSystem:
     pos_sorted = tuple(sorted(positive))  # tuple order is the lexicographic order
     all_roots = frozenset(positive) | {negate(r) for r in positive}
 
-    # in triple-table order, keyed linearly in the coordinates shifted by 2m: key(a) + key(b)
-    # - shift = key(a + b), one-to-one as a sum's coordinates lie in [-2m, 2m]
+    # in triple-table order, keyed linearly modulo 2**64: wrapping keeps key(a) + key(b) =
+    # key(a + b) exact, so with distinct root keys no sum is missed, and a key match counts
+    # only where the coordinates add up (roots lie in [-2, 2], their sums in [-4, 4])
     roots = pos_sorted + tuple(map(negate, pos_sorted))
-    coords, m = np.array(roots, dtype=np.int64), max(map(max, pos_sorted))
-    weights = np.array([(4 * m + 1) ** i for i in range(rank)],  # Python ints past int64
-                       dtype=np.int64 if (4 * m + 1) ** rank < 2 ** 62 else object)
-    keys = (coords + 2 * m) @ weights
+    coords = np.array(roots, dtype=np.int8)
+    keys = coords.astype(np.uint64) @ _key_multipliers(rank)
     order = np.argsort(keys)
     ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        raise DomainError(f"two roots of {fam}{rank} share a sum key")
 
     def find(k):  # the index of the root with key k, -1 where there is none
         at = np.minimum(np.searchsorted(ranked, k), len(keys) - 1)
         return np.where(ranked[at] == k, order[at], -1)
 
-    listed = find((np.array(list(all_roots)) + 2 * m) @ weights)  # in all_roots order
-    sums = find(keys[listed][:, None] + keys[listed] - 2 * m * weights.sum())
+    index = {r: i for i, r in enumerate(roots)}  # listed: the root indices in all_roots order
+    listed = np.fromiter(map(index.__getitem__, all_roots), np.int64, len(roots))
+    sums = find(keys[listed][:, None] + keys[listed])
     a, b = np.nonzero(sums >= 0)  # row-major, the order of a loop over all_roots twice
-    triples = np.stack([listed[a], listed[b], sums[a, b]])
+    a, b, s = listed[a], listed[b], sums[a, b]
+    exact = (coords[a] + coords[b] == coords[s]).all(axis=1)
+    triples = np.stack([a[exact], b[exact], s[exact]])
     triples.flags.writeable = False  # shared through the cache
     sum_table = {(roots[a], roots[b]): roots[s] for a, b, s in triples.T.tolist()}
 

@@ -158,10 +158,15 @@ def test_bad_family_rank_and_checks(tmp_path, capsys):
     ("json", ("--family", "X", "--rank", "2")),
     ("json", ("--family", "A", "--rank", "2", "--format", "xml")),
     ("json", ("--family", "A")),
+    ("json", {"tolerence": 1e-300}),
+    ("json", {"output_path": "elsewhere.json"}),
+    ("json", ("--bogus",)),
+    ("json", ("--family", "A", "--rank")),
 ], ids=["json-unwritable", "csv-unwritable", "rank", "tolerance", "checks", "top-level-list",
         "output-bool", "output-int", "rank-fraction", "rank-bool", "rank-inf", "seed-fraction",
         "tolerance-bool", "c-bool", "c-too-large", "root-fraction", "checks-list-in-list",
-        "checks-object-in-list", "rank-flag", "family-flag", "format-flag", "no-rank-flag"])
+        "checks-object-in-list", "rank-flag", "family-flag", "format-flag", "no-rank-flag",
+        "misspelled-key", "output-path-key", "unknown-flag", "flag-without-value"])
 def test_bad_outside_input_is_a_config_error(tmp_path, capsys, fmt, config):
     out = tmp_path / f"out.{fmt}"
     if isinstance(config, tuple):  # the flags alone, no config file
@@ -417,14 +422,15 @@ def test_cli_imports_neither_fractions_nor_decimal():
         return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                   capture_output=True, text=True).stdout.split())
 
-    assert not {"fractions", "decimal"} & (modules("flagconn.cli") - modules())
+    # numpy.random alone costs 15-22 ms of import in every CLI process
+    assert not {"fractions", "decimal", "numpy.random"} & (modules("flagconn.cli") - modules())
 
 
 # SHA-256 of the basis, tensor and meta of each --checks all document. A change
 # that keeps the results keeps these bytes; one that means to alter them records
-# new digests and says why. The residuals stay out: u_sun's einsum sums may round
-# differently on another CPU, while the tensor comes from elementwise IEEE
-# arithmetic only.
+# new digests and says why. The residuals stay out: a change may reorder the sums
+# behind them, and so round them differently, without changing a result, while the
+# tensor comes from elementwise IEEE arithmetic only.
 CLI_DOCUMENT_DIGESTS = [
     ("A", 3, True,
      "78a8c3498d70e9c837edbd69179dc9aec6d896ddb57bd6e06f01c81c2cf10f48"),

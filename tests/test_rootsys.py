@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from flagconn import (
@@ -176,6 +177,8 @@ def test_rejects_unsupported_configurations(family, rank):
 def test_one_system_per_family_and_rank():
     rs = build_root_system("a", 4)
     assert rs is build_root_system("A", 4)
+    assert build_root_system("A", np.int64(3)) is build_root_system("A", 3)
+    assert type(build_root_system("A", np.int64(3)).rank) is int
     chevalley_constants(rs)
     before = chevalley_constants.cache_info().currsize
     for _ in range(10):
