@@ -1,16 +1,17 @@
 """Command line front end: configuration, pipeline orchestration, serialization.
 
-The tensor is written as sparse (i, j, k, value) triples, either inside a
-single JSON document together with the basis labels, check reports and run
-metadata, or as a CSV table with the reports in a JSON sidecar. Output is
-deterministic for a fixed configuration.
+Metric coefficients are not coerced: a root is a list of integers, and each c
+goes to MetricSpec as given, for the library's coefficient rule to judge. The
+tensor is written as Γ's nonzero entries, sparse (i, j, k, value) triples,
+either inside a single JSON document together with the basis labels, check
+reports and run metadata, or as a CSV table with the reports in a JSON sidecar.
+Output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
-import csv
 import gc
 import itertools
 import json
@@ -36,7 +37,6 @@ from .rootsys import FAMILIES, build_root_system
 from .su_realization import check_su_crosscheck
 
 FORMATS = ("json", "csv")
-SPARSE_THRESHOLD = 1e-12
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -113,7 +113,8 @@ def _number(kind, value, key: str):
 
 
 def metric_spec_from_config(rs, coefficients) -> MetricSpec:
-    """Build a MetricSpec from the config coefficient block."""
+    """Build a MetricSpec from the config coefficient block; each c is checked by the
+    library's coefficient rule, as given."""
     if coefficients == "normal":
         return MetricSpec.normal(rs)
     if not isinstance(coefficients, (list, tuple)):
@@ -121,24 +122,26 @@ def metric_spec_from_config(rs, coefficients) -> MetricSpec:
     seen: dict = {}
     for entry in coefficients:
         try:
-            root = tuple(_number(int, v, "root") for v in entry["root"])
-            value = _number(float, entry["c"], "c")
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: ConfigurationError too
+            root, value = entry["root"], entry["c"]
+        except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"malformed coefficient entry {entry!r}") from exc
+        if not isinstance(root, list) or not all(type(v) is int for v in root):
+            raise ConfigurationError(f"a root must be a list of integers, got {root!r}")
+        root = tuple(root)
         if root not in rs.all_roots or not rs.is_positive(root):
             raise ConfigurationError(f"{list(root)} is not a positive root of the system")
         if root in seen:
             raise ConfigurationError(f"duplicate coefficient for root {list(root)}")
         seen[root] = value
     spec = MetricSpec(seen)
-    spec.validate(rs)  # reports missing roots and nonpositive values
+    spec.validate(rs)  # reports missing roots and values that are no positive finite real
     return spec
 
 
 def tensor_triples(tensor: ConnectionTensor) -> list[dict]:
-    """Sparse listing of tensor entries above SPARSE_THRESHOLD in magnitude, row-major."""
+    """Sparse listing of Γ's nonzero entries, row-major."""
     *index, values = tensor._nonzeros()
-    keep = np.abs(values) > SPARSE_THRESHOLD
+    keep = values != 0
     return [{"i": i, "j": j, "k": k, "value": v}
             for i, j, k, v in zip(*(a[keep].tolist() for a in (*index, values)))]
 
@@ -153,12 +156,10 @@ def write_report(path: str, payload: dict) -> None:
 
 
 def write_tensor(path: str, triples: list[dict]) -> None:
-    """Serialize the tensor triples as CSV with a header row."""
+    """Serialize the tensor triples as CSV with a header row, CRLF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "k", "value"])
-        for t in triples:
-            writer.writerow([t["i"], t["j"], t["k"], repr(t["value"])])
+        fh.write("i,j,k,value\r\n")
+        fh.writelines(f"{t['i']},{t['j']},{t['k']},{t['value']!r}\r\n" for t in triples)
 
 
 def read_tensor(path: str) -> tuple[ConnectionTensor, dict]:
@@ -192,7 +193,7 @@ def run_job(config: JobConfig) -> int:
     reports = [report for name in config.checks for report in CHECKS[name][1](job)]
 
     coeff_list = [
-        {"root": list(alpha), "c": spec.c(alpha)} for alpha in rs.positive_roots
+        {"root": list(alpha), "c": float(spec.c(alpha))} for alpha in rs.positive_roots
     ]
     payload = {
         "basis": [{"root": list(alpha), "kind": kind} for alpha, kind in mb.labels],

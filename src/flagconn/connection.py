@@ -40,7 +40,7 @@ from .chevalley import (
     project_m,
 )
 from .errors import DomainError
-from .metric import MetricSpec, _checked, _unhashable
+from .metric import MetricSpec, _checked, _per_metric
 from .rootsys import Coords, RootSystem, _check_roots, abs_root, add_roots, negate
 
 
@@ -171,11 +171,7 @@ def _gamma_entries(sc: StructureConstants, mb: MBasis, *values):
 
 
 def _entries(sc: StructureConstants, mb: MBasis, spec: MetricSpec):
-    values = spec._values(sc.rs)
-    try:
-        return _gamma_entries(sc, mb, *values)
-    except TypeError:  # an unhashable value
-        _unhashable(sc.rs, values)
+    return _per_metric(_gamma_entries, sc.rs, spec, sc, mb)
 
 
 def u_bilinear(

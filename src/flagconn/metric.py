@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .rootsys import Coords, RootSystem, _one_system
 def _coefficients(rs: RootSystem, values: tuple) -> np.ndarray:
     """``values`` (rs.positive_roots order, None if missing) checked real, positive, finite."""
     c = np.array([v if type(v) is float or isinstance(v, numbers.Real) and type(v) is not bool
+                  and abs(v) <= sys.float_info.max  # past it, float(v) overflows
                   else np.nan for v in values], dtype=float)  # a bool is no coefficient
     if c[c.argmin()] > 0 and c[c.argmax()] < np.inf:  # min > 0 and max < inf; NaN is both
         return c
@@ -34,10 +36,16 @@ def _coefficients(rs: RootSystem, values: tuple) -> np.ndarray:
         f"metric coefficient for root {alpha} must be positive and finite, got {v!r}")
 
 
-def _unhashable(rs: RootSystem, values: tuple):
-    """Raise for ``values`` that failed as a memo key: the check's error, else this one."""
-    _coefficients(rs, values)
-    raise ConfigurationError(f"metric coefficients must be hashable real numbers, got {values!r}")
+def _per_metric(memo, rs: RootSystem, spec: MetricSpec, *system):
+    """``memo(*system, *values)`` on the coefficient values of ``spec``, through its one-slot
+    cache; values that fail as its key raise the coefficient check's error, else this one."""
+    values = spec._values(rs)
+    try:
+        return memo(*system, *values)
+    except TypeError:  # an unhashable value
+        _coefficients(rs, values)
+        raise ConfigurationError(
+            f"metric coefficients must be hashable real numbers, got {values!r}")
 
 
 @functools.lru_cache(maxsize=1, typed=True)  # typed: 3 + 0j must miss a cached 3.0
@@ -108,11 +116,7 @@ def _gram(rs: RootSystem, killing: KillingForm, *values) -> MetricGram:
 def build_metric(rs: RootSystem, killing: KillingForm, spec: MetricSpec) -> MetricGram:
     """Gram matrix with entry c_a * (-B)(e, e) at each basis slot of m^a; the last is memoized."""
     _one_system("root system and the Killing form", rs, killing.rs)
-    values = spec._values(rs)
-    try:
-        return _gram(rs, killing, *values)
-    except TypeError:  # an unhashable value
-        _unhashable(rs, values)
+    return _per_metric(_gram, rs, spec, rs, killing)
 
 
 def inner(gram: MetricGram, x: np.ndarray, y: np.ndarray) -> float:

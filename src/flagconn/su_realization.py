@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -176,31 +177,25 @@ class SuAlignment:
 def build_alignment(n: int) -> SuAlignment:
     """Compute the signed basis isomorphism for A_n once.
 
-    Signs are seeded as +1 on the simple roots and propagated along
-    height-increasing bracket decompositions, so that E_alpha maps onto
-    signs[alpha] times the matrix unit of its eps pair.
+    Signs are seeded as +1 on the simple roots and propagated by height: a root
+    eps_i - eps_j, j > i + 1, is beta + s with beta = eps_{i+1} - eps_j and the simple
+    s = eps_i - eps_{i+1}, so that E_alpha maps onto signs[alpha] times e_ij.
     """
     rs = build_root_system("A", n)
     sc = chevalley_constants(rs)
     signs: dict[Coords, int] = {}
     for alpha in sorted(rs.positive_roots, key=sum):
-        if sum(alpha) == 1:
+        i, j = simple_to_eps(n, alpha)
+        if j == i + 1:
             signs[alpha] = 1
             continue
-        for s, simple in enumerate(rs.simple_roots):
-            beta = tuple(a - b for a, b in zip(alpha, simple))
-            if beta in rs.all_roots and rs.is_positive(beta):
-                n_abs = sc.n(beta, simple)
-                e_b, e_s = (matrix_unit(n, *simple_to_eps(n, r)) for r in (beta, simple))
-                i, j = simple_to_eps(n, alpha)
-                n_mat = int((e_b @ e_s - e_s @ e_b)[i - 1, j - 1].real)  # [e_b, e_s] = N' e_ij
-                if not abs(n_abs) == abs(n_mat) == 1:
-                    raise DomainError(f"N({beta}, {simple}) is {n_abs}, {n_mat} in su({n + 1})")
-                # bracket preservation: N(beta, s) * lambda_alpha = lambda_beta * N'(beta, s)
-                signs[alpha] = signs[beta] * n_mat * n_abs
-                break
-        else:  # pragma: no cover - every non-simple root splits off a simple one
-            raise AssertionError(f"no simple summand found for {alpha}")
+        beta, simple = eps_to_simple(n, EpsRoot(i + 1, j)), rs.simple_roots[i - 1]
+        n_abs = sc.n(beta, simple)
+        if abs(n_abs) != 1:
+            raise DomainError(f"N({beta}, {simple}) is {n_abs} in su({n + 1}), not +-1")
+        # [e_pq, e_rt] = delta_qr e_pt - delta_tp e_rq gives [e_{i+1,j}, e_{i,i+1}] = N' e_ij
+        # with N' = -1; bracket preservation: N(beta, s) * signs[alpha] = signs[beta] * N'
+        signs[alpha] = -signs[beta] * n_abs
     coord_signs = np.repeat([signs[alpha] for alpha in rs.positive_roots], 2).astype(float)
     coord_signs.flags.writeable = False  # shared through the cache
     return SuAlignment(n=n, rs=rs, signs=MappingProxyType(signs), coord_signs=coord_signs)
@@ -208,7 +203,8 @@ def build_alignment(n: int) -> SuAlignment:
 
 def _positive_real(c, what: str) -> float:
     """c as a float if it is a positive, finite real number (a bool is an int, but no number)."""
-    x = float(c) if isinstance(c, numbers.Real) and not isinstance(c, bool) else np.nan
+    x = (float(c) if isinstance(c, numbers.Real) and not isinstance(c, bool)
+         and abs(c) <= sys.float_info.max else np.nan)  # past it, float(c) overflows
     if not (x > 0 and np.isfinite(x)):
         raise ConfigurationError(f"{what} must be a positive, finite real number, got {c!r}")
     return x

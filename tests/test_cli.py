@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import flagconn.cli
-from flagconn import build_metric, build_root_system, chevalley_constants, killing_gram
+from flagconn import (
+    assemble_tensor,
+    build_m_basis,
+    build_metric,
+    build_root_system,
+    chevalley_constants,
+    killing_gram,
+)
 from flagconn.cli import (
     CHECK_NAMES,
     EXIT_CHECK_FAILED,
@@ -152,6 +159,10 @@ def test_bad_family_rank_and_checks(tmp_path, capsys):
                                {"root": [1, 1], "c": 3}]}),
     ("json", {"coefficients": [{"root": [0, 1], "c": 1}, {"root": [1.5, 0], "c": 2},
                                {"root": [1, 1], "c": 3}]}),
+    ("json", {"coefficients": [{"root": [0, 1], "c": "2.0"}, {"root": [1, 0], "c": 2},
+                               {"root": [1, 1], "c": 3}]}),
+    ("json", {"coefficients": [{"root": "10", "c": 1}, {"root": [0, 1], "c": 2},
+                               {"root": [1, 1], "c": 3}]}),
     ("json", {"checks": [["oracle"]]}),
     ("json", {"checks": [{"a": 1}]}),
     ("json", ("--family", "A", "--rank", "two")),
@@ -164,7 +175,8 @@ def test_bad_family_rank_and_checks(tmp_path, capsys):
     ("json", ("--family", "A", "--rank")),
 ], ids=["json-unwritable", "csv-unwritable", "rank", "tolerance", "checks", "top-level-list",
         "output-bool", "output-int", "rank-fraction", "rank-bool", "rank-inf", "seed-fraction",
-        "tolerance-bool", "c-bool", "c-too-large", "root-fraction", "checks-list-in-list",
+        "tolerance-bool", "c-bool", "c-too-large", "root-fraction", "c-string", "root-string",
+        "checks-list-in-list",
         "checks-object-in-list", "rank-flag", "family-flag", "format-flag", "no-rank-flag",
         "misspelled-key", "output-path-key", "unknown-flag", "flag-without-value"])
 def test_bad_outside_input_is_a_config_error(tmp_path, capsys, fmt, config):
@@ -188,6 +200,45 @@ def test_bad_outside_input_is_a_config_error(tmp_path, capsys, fmt, config):
     assert code == EXIT_CONFIG_ERROR
     assert err.startswith("error: ") and err.count("\n") == 1
     assert [p.name for p in tmp_path.rglob("*") if p.name != "job.json"] == []
+
+
+@pytest.mark.parametrize("c,rows", [((1, 2, 1), 16), ((1, 2, 1 + 1e-13), 24)],
+                         ids=["tied", "near-tie"])
+def test_a_document_holds_every_nonzero_entry_of_gamma(tmp_path, c, rows):
+    # in positive_roots order; (1, 2, 1) makes 8 of the 24 entries exactly 0.0, and
+    # 1 + 1e-13 makes them about 1e-13 and nonzero
+    rs = build_root_system("A", 2)
+    sc = chevalley_constants(rs)
+    cpath = tmp_path / "coeffs.json"
+    cpath.write_text(json.dumps([{"root": list(a), "c": v} for a, v in zip(rs.positive_roots, c)]))
+    job = ["--family", "A", "--rank", "2", "--coeffs", str(cpath)]
+    code, out = run_cli(tmp_path, *job)
+    assert code == EXIT_OK
+    tensor, payload = read_tensor(str(out))
+    *index, values = assemble_tensor(sc, build_m_basis(rs), MetricSpec.from_values(rs, c)).entries
+    keep = values != 0
+    assert len(payload["tensor"]) == keep.sum() == rows
+    assert all(np.array_equal(read, a[keep]) for read, a in zip(tensor.entries, (*index, values)))
+    assert check_torsion(tensor, sc).max_residual == 0.0
+    table = tmp_path / "out.csv"
+    assert main(job + ["--format", "csv", "--output", str(table)]) == EXIT_OK
+    assert table.read_bytes().decode().split("\r\n") == ["i,j,k,value"] + [
+        f"{t['i']},{t['j']},{t['k']},{t['value']!r}" for t in payload["tensor"]] + [""]
+
+
+def test_an_integer_coefficient_is_recorded_as_a_float(tmp_path):
+    documents = []
+    for c in (2, 2.0):
+        cpath = tmp_path / "coeffs.json"
+        cpath.write_text(json.dumps([{"root": [0, 1], "c": c}, {"root": [1, 0], "c": 1},
+                                     {"root": [1, 1], "c": 3}]))
+        code, out = run_cli(tmp_path, "--family", "A", "--rank", "2", "--coeffs", str(cpath),
+                            "--checks", "all")
+        assert code == EXIT_OK
+        documents.append(out.read_bytes())
+    meta = json.loads(documents[0])["meta"]["coefficients"]
+    assert [(e["c"], type(e["c"])) for e in meta] == [(2.0, float), (1.0, float), (3.0, float)]
+    assert documents[0] == documents[1]
 
 
 def test_failing_check_yields_status_one(tmp_path):
@@ -397,6 +448,33 @@ def test_one_job_builds_each_table_once(tmp_path):
         assert cached.cache_info().misses == 1, cached.__name__
 
 
+def test_the_tables_a_cache_shares_are_read_only(tmp_path):
+    # a write through one caller would change the results of every other caller
+    code, out = run_cli(tmp_path, "--family", "A", "--rank", "3", "--checks", "all")
+    assert code == EXIT_OK
+    rs = build_root_system("A", 3)
+    sc, mb = chevalley_constants(rs), build_m_basis(rs)
+    kf, values = killing_gram(rs, sc), MetricSpec.normal(rs)._values(rs)  # the job's metric
+    caches = [flagconn.chevalley._adjoint, flagconn.chevalley.killing_gram,
+              flagconn.chevalley.m_bracket_entries,
+              flagconn.connection._closed_form_table, flagconn.connection._gamma_entries,
+              flagconn.metric._checked, flagconn.metric._block_norms, flagconn.metric._gram,
+              flagconn.oracle._transposed, flagconn.oracle._oracle_table,
+              flagconn.su_realization.build_alignment]
+    misses = [cache.cache_info().misses for cache in caches]
+    tables = [flagconn.chevalley._adjoint(rs, sc)[2], kf.gram,
+              *flagconn.chevalley.m_bracket_entries(sc, mb),
+              *flagconn.connection._closed_form_table(sc, mb),
+              *flagconn.connection._gamma_entries(sc, mb, *values),
+              flagconn.metric._checked(rs, *values), flagconn.metric._block_norms(rs, kf),
+              flagconn.metric._gram(rs, kf, *values).diagonal,
+              flagconn.oracle._transposed(sc, mb), flagconn.oracle._oracle_table(sc, mb),
+              flagconn.su_realization.build_alignment(3).coord_signs,
+              rs.triples, sc.n_rows, read_tensor(str(out))[0].gamma]
+    assert [cache.cache_info().misses for cache in caches] == misses  # the job's own tables
+    assert [k for k, table in enumerate(tables) if table.flags.writeable] == []
+
+
 def test_numpy_is_the_only_runtime_dependency():
     src = str(Path(flagconn.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -422,8 +500,9 @@ def test_cli_imports_neither_fractions_nor_decimal():
         return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                   capture_output=True, text=True).stdout.split())
 
-    # numpy.random alone costs 15-22 ms of import in every CLI process
-    assert not {"fractions", "decimal", "numpy.random"} & (modules("flagconn.cli") - modules())
+    # numpy.random alone costs 15-22 ms of import in every CLI process, csv about 1 ms
+    assert not {"fractions", "decimal", "numpy.random", "csv"} & (
+        modules("flagconn.cli") - modules())
 
 
 # SHA-256 of the basis, tensor and meta of each --checks all document. A change

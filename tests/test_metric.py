@@ -137,10 +137,12 @@ def test_the_gram_is_built_once_per_metric_and_read_only(a2):
     assert not np.array_equal(other.diagonal, gram.diagonal)
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "2.0", 2j, np.complex128(3.0)],
-                         ids=["bool", "numpy-bool", "string", "complex", "numpy-complex"])
+@pytest.mark.parametrize("bad", [True, np.True_, "2.0", 2j, np.complex128(3.0), 10 ** 400],
+                         ids=["bool", "numpy-bool", "string", "complex", "numpy-complex",
+                              "too-large"])
 def test_a_coefficient_is_a_real_number_and_no_bool(a2, bad):
-    # the CLI refuses "c": true; the library applies the same rule on every route
+    # the CLI passes each "c" as given; the library applies this rule on every route, and a
+    # real too large for a float is refused, not an OverflowError
     coeffs = {alpha: 1.0 for alpha in a2.rs.positive_roots}
     coeffs[(1, 0)] = bad
     specs = [MetricSpec(coeffs), MetricSpec.from_values(a2.rs, list(coeffs.values()))]

@@ -3,7 +3,7 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +15,9 @@ from flagconn import (
     EpsRoot,
     MetricSpec,
     build_alignment,
+    build_root_system,
     check_su_crosscheck,
+    chevalley_constants,
     eps_to_simple,
     simple_to_eps,
     su3_coefficients,
@@ -28,7 +30,12 @@ import flagconn.su_realization
 from flagconn.chevalley import LieElement, build_m_basis
 from flagconn.oracle import DEFAULT_TOLERANCE, _residual_report
 from flagconn.rootsys import add_roots, negate
-from flagconn.su_realization import positive_eps_roots, su_from_coords, su_to_coords
+from flagconn.su_realization import (
+    matrix_unit,
+    positive_eps_roots,
+    su_from_coords,
+    su_to_coords,
+)
 from conftest import pipeline, random_metric, random_mvector
 
 
@@ -247,10 +254,10 @@ def test_u_sun_rejects_small_n_and_bad_coefficients():
             u_sun(2, {(1, 2): 1.0, (1, 3): bad, (2, 3): 2.0}, np.zeros(6), np.zeros(6))
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "2.0", 2j, None],
-                         ids=["bool", "numpy-bool", "string", "complex", "none"])
+@pytest.mark.parametrize("bad", [True, np.True_, "2.0", 2j, None, 10 ** 400],
+                         ids=["bool", "numpy-bool", "string", "complex", "none", "too-large"])
 def test_u_sun_coefficients_are_real_numbers_and_no_bool(bad):
-    # the rule of the CLI and of the pipeline's metric check, in u_sun's own check
+    # the rule of the pipeline's metric check, in u_sun's own check
     x = np.ones(6)
     with pytest.raises(ConfigurationError, match=r"\(1, 3\) .* got "):
         u_sun(2, {(1, 2): 2.0, (1, 3): bad, (2, 3): 3.0}, x, x)
@@ -303,8 +310,8 @@ def test_su3_coefficients_frozen_values():
             su3_coefficients(1.0, bad, 2.0)
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "2", 2j],
-                         ids=["bool", "numpy-bool", "string", "complex"])
+@pytest.mark.parametrize("bad", [True, np.True_, "2", 2j, 10 ** 400],
+                         ids=["bool", "numpy-bool", "string", "complex", "too-large"])
 @pytest.mark.parametrize("slot", range(3))
 def test_su3_coefficients_are_real_numbers_and_no_bool(bad, slot):
     # the rule of u_sun's own check, on the SU(3) route
@@ -417,6 +424,49 @@ def test_su_alignment_sign_negative_control(a3, monkeypatch):
     assert not entries[0].passed and entries[0].max_residual == 2.0  # +-1 against -+1
     assert entries[1].passed  # the Killing form sees the sign squared
     assert not entries[2].passed and entries[2].witness == dense[2].witness
+
+
+def _alignment_dense(n):
+    """The dense route to the signs and coord_signs, kept as build_alignment's reference:
+    each non-simple root splits off the first simple root that leaves a positive root, and
+    N' is read off the commutator of the two dense matrix units."""
+    rs = build_root_system("A", n)
+    sc = chevalley_constants(rs)
+    signs = {}
+    for alpha in sorted(rs.positive_roots, key=sum):
+        if sum(alpha) == 1:
+            signs[alpha] = 1
+            continue
+        for simple in rs.simple_roots:
+            beta = tuple(a - b for a, b in zip(alpha, simple))
+            if beta in rs.all_roots and rs.is_positive(beta):
+                e_b, e_s = (matrix_unit(n, *simple_to_eps(n, r)) for r in (beta, simple))
+                i, j = simple_to_eps(n, alpha)
+                n_mat = int((e_b @ e_s - e_s @ e_b)[i - 1, j - 1].real)  # [e_b, e_s] = N' e_ij
+                signs[alpha] = signs[beta] * n_mat * sc.n(beta, simple)
+                break
+    return signs, np.repeat([signs[alpha] for alpha in rs.positive_roots], 2).astype(float)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_alignment_equals_the_dense_commutator_reference(n):
+    signs, coord_signs = _alignment_dense(n)
+    al = build_alignment(n)
+    assert list(al.signs.items()) == list(signs.items())
+    assert np.array_equal(al.coord_signs, coord_signs)
+
+
+def test_the_alignment_refuses_a_constant_other_than_plus_or_minus_one(monkeypatch):
+    # A2: (1, 1) splits into beta = (0, 1) and the simple root (1, 0)
+    sc = chevalley_constants(build_root_system("A", 2))
+    doubled = SimpleNamespace(n=lambda a, b: sc.n(a, b) * (2 if (a, b) == ((0, 1), (1, 0)) else 1))
+    monkeypatch.setattr(flagconn.su_realization, "chevalley_constants", lambda rs: doubled)
+    build_alignment.cache_clear()
+    try:
+        with pytest.raises(DomainError, match=r"N\(\(0, 1\), \(1, 0\)\) is -?2\b"):
+            build_alignment(2)
+    finally:
+        build_alignment.cache_clear()
 
 
 def test_su_coefficient_negative_control(a3, monkeypatch):
