@@ -209,6 +209,8 @@ class KillingForm:
 
     def value(self, x: LieElement, y: LieElement) -> complex:
         """Complex-bilinear evaluation of B on sparse elements."""
+        if x.rank != self.rs.rank or y.rank != self.rs.rank:
+            raise DimensionError("elements do not match the root system rank")
         out = 0.0 + 0.0j
         for i in range(self.rs.rank):
             if x.cartan[i] == 0:

@@ -106,9 +106,11 @@ def u_root_pair(
     gamma: Coords,
     delta: Coords,
 ) -> LieElement:
-    """U on single root components X = x_coeff E_gamma, Y = y_coeff E_delta."""
+    """U on single root components X = x_coeff E_gamma, Y = y_coeff E_delta; the metric is
+    judged by the coefficient rule first, also where the bracket vanishes."""
     rs = sc.rs
     _check_roots(rs, gamma, delta)
+    spec.validate(rs)
     s = add_roots(gamma, delta)
     if s not in rs.all_roots:  # includes delta = -gamma, zero is not a root
         return LieElement.zero(rs.rank)

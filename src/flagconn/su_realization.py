@@ -15,11 +15,14 @@ sum over index triples, with c the symmetric matrix of block coefficients:
     U(x, y)_pq = sum_r w[p, r, q] (x_pr y_rq + y_pr x_rq),
     w[p, r, q] = (c_rq - c_pr) / (2 c_pq).
 
-An explicit signed basis isomorphism phi is computed once. Each basis image is
-a signed matrix unit, or two diagonal units for H_i, so the cross-check compares
-entry lists keyed by basis pair and matrix entry: sum_o ad[x, o, y] phi[o] with
-[phi x, phi y] by e_pq e_rs = delta_qr e_ps, the Killing gram with 2(n+1) tr(phi x
-phi y) by tr(e_pq e_rs) = delta_qr delta_ps, both exactly; U with w on chained (p, r, q).
+An explicit signed basis isomorphism phi is computed once and held as one table
+of matrix-unit entries (b, p, q, value): E_alpha maps to a signed e_pq, H_i to
+e_ii - e_(i+1)(i+1). to_matrix scatters the table; the cross-check reads it as
+entry lists keyed by basis pair and matrix entry, with no dense image: sum_o
+ad[x, o, y] phi[o] with [phi x, phi y] by e_pq e_rs = delta_qr e_ps, the Killing gram
+with 2(n+1) tr(phi x phi y) by tr(e_pq e_rs) = delta_qr delta_ps, both exactly and on
+the keys of either side; U with w on chained (p, r, q) of the transported m basis,
+whose entries are those of E_alpha and E_-alpha.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .connection import _entries
 from .errors import ConfigurationError, DimensionError, DomainError
 from .metric import MetricSpec
 from .oracle import CheckReport, DEFAULT_TOLERANCE, _residual_report
-from .rootsys import Coords, RootSystem, _join, build_root_system, negate
+from .rootsys import Coords, RootSystem, _check_roots, _join, build_root_system
 
 
 class EpsRoot(NamedTuple):
@@ -151,21 +154,30 @@ class SuAlignment:
     signs: MappingProxyType[Coords, int]
     coord_signs: np.ndarray
 
+    @functools.cached_property
+    def _images(self) -> np.ndarray:
+        """The images of the full Chevalley basis as matrix-unit entries (b, p, q, value), one
+        per column of a read-only int64 array: b in KillingForm label order, (p, q) 0-based.
+        H_h maps to e_hh - e_(h+1)(h+1), two entries per h; then, for alpha = eps_p - eps_q
+        in rs.positive_roots order, E_alpha to signs[alpha] e_pq; then E_-alpha to
+        signs[alpha] e_qp. Built once per alignment object, so a replaced one builds its own."""
+        p, q = np.array(positive_eps_roots(self.n)).T - 1  # listed in rs.positive_roots order
+        s = np.fromiter(map(self.signs.__getitem__, self.rs.positive_roots), np.int64, len(p))
+        h, e = np.arange(self.n), self.n + np.arange(len(p))
+        table = np.concatenate([[h, h, h, np.ones_like(h)], [h, h + 1, h + 1, -np.ones_like(h)],
+                                [e, p, q, s], [e + len(p), q, p, s]], axis=1)
+        table.flags.writeable = False  # shared through the cache of build_alignment
+        return table
+
     def to_matrix(self, x: LieElement) -> np.ndarray:
-        """Image of an abstract element under the isomorphism."""
+        """Image of an abstract element: the basis images weighted by its coefficients."""
+        if x.rank != self.n:
+            raise DimensionError(f"expected an element of rank {self.n}, got rank {x.rank}")
+        _check_roots(self.rs, *x.roots)
+        b, p, q, value = self._images
+        weights = np.array([*x.cartan, *(dict.fromkeys(self.rs.roots, 0) | x.roots).values()])
         out = np.zeros((self.n + 1, self.n + 1), dtype=complex)
-        for s in range(self.rs.rank):
-            if x.cartan[s]:
-                out += x.cartan[s] * (
-                    matrix_unit(self.n, s + 1, s + 1) - matrix_unit(self.n, s + 2, s + 2)
-                )
-        for gamma, c in x.roots.items():
-            pos = self.rs.is_positive(gamma)
-            alpha = gamma if pos else negate(gamma)
-            r = simple_to_eps(self.n, alpha)
-            if not pos:
-                r = EpsRoot(r.j, r.i)
-            out += c * self.signs[alpha] * matrix_unit(self.n, r.i, r.j)
+        np.add.at(out, (p, q), weights[b] * value)
         return out
 
     def transport(self, coords: np.ndarray) -> np.ndarray:
@@ -268,12 +280,11 @@ def u_su3(c1: float, c2: float, c3: float, x: np.ndarray, y: np.ndarray) -> np.n
     return su_to_coords(2, acc)
 
 
-def _products(stack: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every nonzero product of two entries of a stack of matrices, e_pq e_rs = delta_qr e_ps:
-    columns (x, y, p, r, s, value) of the entry (p, s) of stack[x] @ stack[y]."""
-    x, p, q = np.nonzero(stack)
-    a, b = _join(q, p)
-    return x[a], x[b], p[a], q[a], q[b], stack[x[a], p[a], q[a]] * stack[x[b], p[b], q[b]]
+def _products(b, p, q, value) -> tuple[np.ndarray, ...]:
+    """Every product of two matrix-unit entries (b, p, q, value), e_pq e_rs = delta_qr e_ps:
+    columns (x, y, p, r, s, value) of the entry (p, s) of the matrix of x times that of y."""
+    a, c = _join(q, p)
+    return b[a], b[c], p[a], q[a], q[c], value[a] * value[c]
 
 
 def _net(shape: tuple[int, ...], *parts) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -297,33 +308,37 @@ def check_su_crosscheck(
     if rs.family != "A":
         raise ConfigurationError("the special unitary cross-check requires family A")
     spec.validate(rs)
-    n = rs.rank
+    n, npos = rs.rank, len(rs.positive_roots)
     al = build_alignment(n)
     kf = killing_gram(rs, sc)
     _, _, (x, o, y, v) = _adjoint(rs, sc)
-    phi = np.stack([al.to_matrix(LieElement(n, np.eye(n)[key]) if kind == "H"
-                                 else LieElement.root_vector(n, key)) for kind, key in kf.labels])
-    ux, up, uq = np.nonzero(phi)
-    a, b = _join(o, ux)  # phi([x, y]) = sum_o ad[x, o, y] phi[o]
-    xy, yx, p, _, s, prod = _products(phi)  # phi_x phi_y: [x, y] gets +, [y, x] gets -
+    b, up, uq, uv = al._images
+    a, c = _join(o, b)  # phi([x, y]) = sum_o ad[x, o, y] phi[o]
+    xy, yx, p, _, s, prod = _products(b, up, uq, uv)  # phi_x phi_y: [x, y] gets +, [y, x] gets -
     (bx, by, _, _), brackets = _net(kf.gram.shape + (n + 1,) * 2,
-                                    ((x[a], y[a], up[b], uq[b]), v[a] * phi[ux[b], up[b], uq[b]]),
+                                    ((x[a], y[a], up[c], uq[c]), v[a] * uv[c]),
                                     ((xy, yx, p, s), -prod), ((yx, xy, p, s), prod))
-    trace = np.zeros(kf.gram.shape, dtype=complex)
-    np.add.at(trace, (xy[p == s], yx[p == s]), prod[p == s])
-    reports = [_residual_report("su-bracket-tables", np.abs(brackets), 0.0, (bx, by)),
-               _residual_report("su-killing-form", np.abs(kf.gram - 2 * (n + 1) * trace), 0.0)]
+    gram, trace = np.nonzero(kf.gram), p == s  # B(x, y) against 2(n+1) tr(phi_x phi_y)
+    (kx, ky), killing = _net(kf.gram.shape, (gram, kf.gram[gram]),
+                             ((xy[trace], yx[trace]), -2 * (n + 1) * prod[trace]))
+    reports = [_residual_report("su-bracket-tables", np.abs(brackets, dtype=float), 0.0, (bx, by)),
+               _residual_report("su-killing-form", np.abs(killing, dtype=float), 0.0, (kx, ky))]
 
     if n >= 2:
-        c = _validated_coeffs(n, {simple_to_eps(n, a): spec.c(a) for a in rs.positive_roots})
-        e = np.stack(su_m_basis(n)) * al.coord_signs[:, None, None]  # the transported basis
-        products = _products(e)  # the coordinates are on the strict upper triangle, p < q
+        c = _validated_coeffs(n, dict(zip(positive_eps_roots(n), map(spec.c, rs.positive_roots))))
+        # the transported basis, coord_signs times e_pq - e_qp (U_alpha) and i(e_pq + e_qp)
+        # (V_alpha), on the E_alpha entries at (p, q), p < q, then the E_-alpha ones at (q, p)
+        unit = np.tile([[1, 1j], [-1, 1j]], npos) * al.coord_signs
+        products = _products(np.tile(np.arange(2 * npos), 2), np.repeat(up[2 * n:], 2),
+                             np.repeat(uq[2 * n:], 2), unit.ravel())
         i, j, p, r, q, prod = (column[products[2] < products[4]] for column in products)
         u_pq = _weights(c, p, r, q) * (prod.real + prod.imag)  # = U(e_i, e_j)_pq = U(e_j, e_i)_pq
-        # each product is real or imaginary: the coordinate of Re U_pq, or of Im U_pq, the next
-        k = su_from_coords(n, np.arange(len(e))).real.astype(int)[p, q] + (prod.imag != 0)
         ci, cj, ck, u, _ = _entries(sc, build_m_basis(rs), spec)
-        (ui, uj, _), residual = _net((len(e),) * 3, ((ci, cj, ck), -u * al.coord_signs[ck]),
-                                     ((i, j, k), u_pq), ((j, i, k), u_pq))
+        # coordinate k is Re U_pq (k even) or Im U_pq at the E_alpha entry k // 2; each
+        # product is real or imaginary, so it meets one of the two
+        at = (up[2 * n + ck // 2], uq[2 * n + ck // 2], ck % 2)
+        keys, im = (2 * npos,) * 2 + (n + 1,) * 2 + (2,), prod.imag != 0
+        (ui, uj, *_), residual = _net(keys, ((ci, cj, *at), -u * al.coord_signs[ck]),
+                                      ((i, j, p, q, im), u_pq), ((j, i, p, q, im), u_pq))
         reports.append(_residual_report("su-u-term", np.abs(residual), tolerance, (ui, uj)))
     return reports

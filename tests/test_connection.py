@@ -1,5 +1,6 @@
 """Canonical pairs, the closed-form U, and tensor assembly."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,27 @@ def test_u_root_pair_coefficient(a2):
 
     equal = MetricSpec.normal(a2.rs)
     assert u_root_pair(a2.sc, equal, 1.0, 1.0, a1, al2).is_zero()
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("bad", [_MISSING, 0, -1, np.nan, np.inf, True, np.True_, "2.0", 2j,
+                                 10 ** 400],
+                         ids=["missing", "zero", "negative", "nan", "inf", "bool", "numpy-bool",
+                              "string", "complex", "too-large"])
+@pytest.mark.parametrize("slot", range(3))
+def test_u_root_pair_judges_the_metric_by_the_coefficient_rule(a2, bad, slot):
+    # (1, 0) + (0, 1) = (1, 1) reads all three coefficients; (1, 0) + (1, 0) reads none
+    root = a2.rs.positive_roots[slot]
+    coeffs = dict(zip(a2.rs.positive_roots, A2_C123))
+    if bad is _MISSING:
+        del coeffs[root]
+    else:
+        coeffs[root] = bad
+    for gamma, delta in (((1, 0), (0, 1)), ((1, 0), (1, 0))):
+        with pytest.raises(ConfigurationError, match=re.escape(f"root {root}")):
+            u_root_pair(a2.sc, MetricSpec(coeffs), 1.0, 1.0, gamma, delta)
 
 
 def test_z_term_vanishes_on_zero_input(b2):

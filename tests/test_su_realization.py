@@ -205,19 +205,34 @@ def test_su_bracket_tables_negative_control(a3, monkeypatch):
     assert report.witness == (x, y)
 
 
+def _perturbed_killing_report(pl, monkeypatch, x, y, delta):
+    gram = pl.killing.gram.astype(float)
+    gram[x, y] += delta
+    perturbed = dataclasses.replace(pl.killing, gram=gram)
+    monkeypatch.setattr(flagconn.su_realization, "killing_gram", lambda rs, sc: perturbed)
+    return _su_report(pl, random_metric(pl.rs, 89), "su-killing-form")
+
+
 @pytest.mark.parametrize("delta", [1.0, np.nan])
 def test_su_killing_form_negative_control(a3, monkeypatch, delta):
-    import flagconn.su_realization
-
     alpha = a3.rs.positive_roots[2]
     x, y = a3.killing.index[("E", alpha)], a3.killing.index[("E", negate(alpha))]
-    gram = a3.killing.gram.astype(float)
-    gram[x, y] += delta
-    perturbed = dataclasses.replace(a3.killing, gram=gram)
-    monkeypatch.setattr(flagconn.su_realization, "killing_gram", lambda rs, sc: perturbed)
-    report = _su_report(a3, random_metric(a3.rs, 89), "su-killing-form")
+    report = _perturbed_killing_report(a3, monkeypatch, x, y, delta)
     assert not report.passed
     assert report.witness == (x, y)
+
+
+@pytest.mark.parametrize("delta", [1.0, np.nan])
+def test_su_killing_form_negative_control_where_the_gram_is_zero(a3, monkeypatch, delta):
+    # B(H_1, E_alpha) = 0 and no trace product lands there: the key comes from the gram only
+    alpha = a3.rs.positive_roots[2]
+    x, y = a3.killing.index[("H", 0)], a3.killing.index[("E", alpha)]
+    assert a3.killing.gram[x, y] == 0
+    report = _perturbed_killing_report(a3, monkeypatch, x, y, delta)
+    assert not report.passed
+    assert report.witness == (x, y)
+    if delta == 1.0:
+        assert report.max_residual == 1.0
 
 
 def test_u_sun_all_pairs_memory_stays_below_one_index_triple_array():
@@ -351,18 +366,116 @@ def test_su_exact_checks_are_judged_exactly(n):
         assert reports[name].max_residual == 0.0 and reports[name].passed
 
 
+def _to_matrix_loop(al, x):
+    """The per-root route that SuAlignment.to_matrix replaced, kept as its reference: one
+    dense difference of matrix units per Cartan coefficient, one matrix unit per root."""
+    n = al.n
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    for s in range(al.rs.rank):
+        if x.cartan[s]:
+            out += x.cartan[s] * (matrix_unit(n, s + 1, s + 1) - matrix_unit(n, s + 2, s + 2))
+    for gamma, c in x.roots.items():
+        pos = al.rs.is_positive(gamma)
+        alpha = gamma if pos else negate(gamma)
+        r = simple_to_eps(n, alpha)
+        if not pos:
+            r = EpsRoot(r.j, r.i)
+        out += c * al.signs[alpha] * matrix_unit(n, r.i, r.j)
+    return out
+
+
+def _random_element(rs, rng, share):
+    """Complex Cartan and root parts on about ``share`` of the roots; some real or imaginary
+    parts are exactly zero, so that signed zeros meet the sums."""
+    def parts(size):
+        return (rng.normal(size=(size, 2)) * rng.integers(0, 2, size=(size, 2))) @ [1, 1j]
+
+    picked = np.flatnonzero(rng.random(len(rs.roots)) < share)
+    return LieElement(rs.rank, parts(rs.rank), dict(zip([rs.roots[k] for k in picked],
+                                                        parts(len(picked)))))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_to_matrix_equals_the_per_root_reference(n):
+    rs, al = build_root_system("A", n), build_alignment(n)
+    rng = np.random.default_rng(40 + n)
+    for share in (0.0, 0.1, 0.5, 1.0, 1.0):
+        x = _random_element(rs, rng, share)
+        assert al.to_matrix(x).tobytes() == _to_matrix_loop(al, x).tobytes()
+    for root in rs.roots:  # each basis image alone
+        x = LieElement.root_vector(n, root, complex(*rng.normal(size=2)))
+        assert al.to_matrix(x).tobytes() == _to_matrix_loop(al, x).tobytes()
+
+
+def test_a_replaced_alignment_builds_its_own_table(a3):
+    al = build_alignment(3)
+    alpha = a3.rs.positive_roots[4]
+    x = LieElement.root_vector(3, alpha)
+    image = al.to_matrix(x)  # the table of al is built
+    signs = dict(al.signs)
+    signs[alpha] = -signs[alpha]
+    flipped = dataclasses.replace(al, signs=MappingProxyType(signs))
+    assert np.array_equal(flipped.to_matrix(x), -image)
+    assert np.array_equal(flipped.to_matrix(x), _to_matrix_loop(flipped, x))
+
+
+@pytest.mark.parametrize("key", [(2, 0), (1, -1), (1, 0, 0)])
+def test_to_matrix_refuses_a_key_that_is_no_root(key):
+    with pytest.raises(DomainError):
+        build_alignment(2).to_matrix(LieElement(2, np.zeros(2), {key: 1.0}))
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_to_matrix_and_the_killing_form_refuse_another_rank(a3, rank):
+    # a longer Cartan part was cut short, a shorter one raised IndexError
+    other, same = LieElement(rank, np.arange(1, rank + 1)), LieElement(3, np.ones(3))
+    with pytest.raises(DimensionError):
+        build_alignment(3).to_matrix(other)
+    for x, y in ((other, same), (same, other)):
+        with pytest.raises(DimensionError):
+            a3.killing.value(x, y)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_crosscheck_builds_no_dense_image(n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cross-check reads the images as matrix-unit entries only")
+
+    for name in ("su_m_basis", "su_from_coords", "matrix_unit", "LieElement"):
+        monkeypatch.setattr(flagconn.su_realization, name, refuse)
+    monkeypatch.setattr(flagconn.su_realization.SuAlignment, "to_matrix", refuse)
+    pl = pipeline("A", n)
+    reports = check_su_crosscheck(pl.rs, pl.sc, random_metric(pl.rs, n))
+    assert [r.passed for r in reports] == [True] * 3
+
+
+def test_the_crosscheck_memory_stays_below_four_dense_grams():
+    pl = pipeline("A", 20)
+    spec = random_metric(pl.rs, 20)
+    check_su_crosscheck(pl.rs, pl.sc, spec)  # warm-up: the cached tables and the metric
+    gram_bytes = len(pl.killing.labels) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        check_su_crosscheck(pl.rs, pl.sc, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * gram_bytes
+
+
 def _crosscheck_dense(rs, sc, spec, tolerance=DEFAULT_TOLERANCE):
     """The dense route that check_su_crosscheck replaced, kept as its reference: the
-    (dim², n+1, n+1) commutator stacks and u_sun on every transported basis pair. It
-    reads the same names through the su_realization namespace, so a patch reaches both."""
+    (dim², n+1, n+1) commutator stacks of the per-root images and u_sun on every transported
+    basis pair. It reads the same names through the su_realization namespace, so a patch
+    reaches both."""
     su = flagconn.su_realization
     n = rs.rank
     al = su.build_alignment(n)
     kf = su.killing_gram(rs, sc)
     _, _, (x, o, y, v) = su._adjoint(rs, sc)
     phi = np.stack([
-        al.to_matrix(LieElement(n, np.eye(n)[lab[1]]) if lab[0] == "H"
-                     else LieElement.root_vector(n, lab[1]))
+        _to_matrix_loop(al, LieElement(n, np.eye(n)[lab[1]]) if lab[0] == "H"
+                        else LieElement.root_vector(n, lab[1]))
         for lab in kf.labels
     ])
     rhs = phi[:, None] @ phi[None, :] - phi[None, :] @ phi[:, None]
