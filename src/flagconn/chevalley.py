@@ -50,9 +50,7 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         if other.rank != self.rank:
             raise DimensionError("rank mismatch")
-        roots = dict(self.roots)
-        for r, c in other.roots.items():
-            roots[r] = roots.get(r, 0.0) + c
+        roots = self.roots | {r: self.roots.get(r, 0.0) + c for r, c in other.roots.items()}
         return LieElement(self.rank, self.cartan + other.cartan, roots)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -85,7 +83,8 @@ class StructureConstants:
 
 
 def root_string_p(rs: RootSystem, alpha: Coords, beta: Coords) -> int:
-    """Largest k >= 0 with beta - k*alpha a root."""
+    """Largest k >= 0 with beta - k*alpha a root, for roots alpha and beta."""
+    _check_roots(rs, alpha, beta)  # a zero alpha never ends the string
     p = 0
     while tuple(b - (p + 1) * a for a, b in zip(alpha, beta)) in rs.all_roots:
         p += 1
@@ -108,53 +107,52 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
     (g, d), g < d, g + d = rho with lexicographically least g receives
     N(g, d) = p + 1 > 0, and the Jacobi identity gives the other positive
     pairs. Every other constant follows from N(-a, -b) = -N(a, b),
-    N(b, a) = -N(a, b) and the coroot identity on triples summing to zero,
-    applied at once to the index rows of the root-triple table; all
-    arithmetic stays in exact integers.
+    N(b, a) = -N(a, b) and the coroot identity on triples summing to zero:
+    one sign rule, computed once as factors of each row of the root-triple
+    table, which the Jacobi step reads row by row and the fill of n_rows on
+    every row at once; all arithmetic stays in exact integers.
     """
     npos, norms = len(rs.positive_roots), [rs.norm_table[r] for r in rs.roots]
     a, b, s = rs.triples
-    sums = dict(zip(zip(a.tolist(), b.tolist()), s.tolist()))
     special: dict[int, list[tuple[int, int]]] = {}
     for g, d, rho in rs.triples[:, (a < b) & (b < npos)].T.tolist():  # positive g < d
         special.setdefault(rho, []).append((g, d))
     positive = [[0] * npos for _ in range(npos)]  # N on positive pairs, antisymmetric
 
-    def neg(k: int) -> int:
-        return (k + npos) % (2 * npos)
+    # the sign rule once, as factors of every row (a, b, s) of the triple table: flip a
+    # negative sum, swap a negative first root, then rotate the zero-sum triple (a, -w, -s),
+    # w positive, onto (w, s); N on the row is sign * N(u, v) * mult / den on the positive
+    # pair (u, v), with mult = den where no rotation is needed
+    a, b, s = np.where(flip := s >= npos, (rs.triples + npos) % (2 * npos), rs.triples)
+    a, b = np.where(swap := a >= npos, b, a), np.where(swap, a, b)
+    mixed, norm = b >= npos, np.array(norms, dtype=np.int64)
+    sign, den = np.where(flip ^ swap ^ mixed, -1, 1), norm[a]
+    u, v, mult = np.where(mixed, [b % npos, s, norm[s]], [a, b, den])
+    a, b, total = rs.triples.tolist()
+    rows, rule = dict(zip(zip(a, b), range(len(a)))), [x.tolist() for x in (sign, u, v, mult, den)]
 
-    def resolve(a: int, b: int) -> int:  # N(roots[a], roots[b]) from the positive pairs
-        if (s := sums[a, b]) >= npos:
-            return -resolve(neg(a), neg(b))
-        if a >= npos:
-            return -resolve(b, a)
-        # a positive; b negative: rotate the zero-sum triple (a, b, -s) onto (-b, s)
-        return positive[a][b] if b < npos else _exact(-norms[s] * positive[neg(b)][s], norms[a])
+    def n_at(a: int, b: int) -> int:  # N(roots[a], roots[b]) by the factors of its row
+        i, (sign, u, v, mult, den) = rows[a, b], rule
+        n = sign[i] * positive[u[i]][v[i]]
+        return n if mult[i] == den[i] else _exact(n * mult[i], den[i])
 
-    # by height, so that resolve reads only the positive pairs of lower sums
+    # by height, so that n_at reads only the positive pairs of lower sums
     for rho in sorted(special, key=lambda k: sum(rs.roots[k])):
         (a0, b0), *pairs = sorted(special[rho])
         n0 = root_string_p(rs, rs.roots[a0], rs.roots[b0]) + 1
         positive[a0][b0], positive[b0][a0] = n0, -n0
         for g, d in pairs:
             # Jacobi identity for (E_a0, E_b0, E_{-g}) read on the E_d component
-            acc = sum(sign * resolve(x, neg(g)) * resolve(sums[x, neg(g)], y)
-                      for sign, x, y in ((1, b0, a0), (-1, a0, b0)) if (x, neg(g)) in sums)
+            acc = sum(pm * n_at(x, g + npos) * n_at(total[rows[x, g + npos]], y)
+                      for pm, x, y in ((1, b0, a0), (-1, a0, b0)) if (x, g + npos) in rows)
             n = _exact(-norms[rho] * _exact(-acc, n0), norms[d])
             positive[g][d], positive[d][g] = n, -n
 
-    # the rules of resolve on every row of the triple table at once
-    positive, norms = np.array(positive, dtype=np.int64), np.array(norms, dtype=np.int64)
-    flip = s >= npos  # a negative sum
-    a, b, s = (np.where(flip, (x + npos) % (2 * npos), x) for x in rs.triples)
-    swap = a >= npos  # a negative, b positive
-    a, b = np.where(swap, b, a), np.where(swap, a, b)
-    mixed, nb = b >= npos, b % npos  # a positive, b = -nb negative
-    n = _exact(np.where(mixed, -norms[s] * positive[nb, s], positive[a, nb]),
-               np.where(mixed, norms[a], 1)) * np.where(flip ^ swap, -1, 1)
+    # the same factors on every row at once
+    n = _exact(sign * np.array(positive, dtype=np.int64)[u, v] * mult, den)
     n.flags.writeable = False  # shared through the cache
     simple = np.array([rs.norm_table[r] for r in rs.simple_roots])
-    coroots = _exact(np.array(rs.roots, dtype=np.int64) * simple, norms[:, None]).tolist()
+    coroots = _exact(np.array(rs.roots, dtype=np.int64) * simple, norm[:, None]).tolist()
     return StructureConstants(rs, MappingProxyType(dict(zip(rs.sum_table, n.tolist()))),
                               MappingProxyType(dict(zip(rs.roots, map(tuple, coroots)))), n)
 
@@ -205,6 +203,7 @@ class KillingForm:
 
     def e_pair(self, alpha: Coords) -> int:
         """B(E_alpha, E_{-alpha})."""
+        _check_roots(self.rs, alpha)
         return int(self.gram[self.index[("E", alpha)], self.index[("E", negate(alpha))]])
 
     def value(self, x: LieElement, y: LieElement) -> complex:
@@ -286,6 +285,8 @@ class MBasis:
         return LieElement(self.rs.rank, np.zeros(self.rs.rank), {alpha: 1.0j, negate(alpha): 1.0j})
 
     def basis_vector(self, k: int) -> np.ndarray:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < self.dim:
+            raise DomainError(f"basis index must be an integer in [0, {self.dim}), got {k!r}")
         out = np.zeros(self.dim)
         out[k] = 1.0
         return out

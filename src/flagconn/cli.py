@@ -238,8 +238,8 @@ def _load_coefficients(arg: str):
         return "normal"
     with open(arg, encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict) and "coefficients" in data:
-        data = data["coefficients"]
+    if not isinstance(data, list):  # "normal" is the flag's word, not a file's
+        raise ConfigurationError(f"a coefficient file must hold one JSON list, got {data!r:.60}")
     return data
 
 

@@ -207,7 +207,7 @@ def _root_system(fam: str, rank: int) -> RootSystem:
 
 
 def _check_roots(rs: RootSystem, *roots: Coords) -> None:
-    if not all(r in rs.all_roots for r in roots):
+    if not rs.all_roots.issuperset(roots):
         raise DomainError(f"arguments must be roots of {rs.family}{rs.rank}")
 
 

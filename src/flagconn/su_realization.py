@@ -90,22 +90,16 @@ def simple_to_eps(n: int, root: Coords) -> EpsRoot:
     return EpsRoot(lo, hi) if root[support[0] - 1] > 0 else EpsRoot(hi, lo)
 
 
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    out = np.zeros((n + 1, n + 1), dtype=complex)
-    out[i - 1, j - 1] = 1.0
-    return out
+def _eps_entries(n: int) -> np.ndarray:
+    """The 0-based entries (p, q), p < q, of the positive eps roots in positive_eps_roots order."""
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    return np.array(positive_eps_roots(n)).T - 1
 
 
 def su_m_basis(n: int) -> list[np.ndarray]:
     """Tangent basis matrices, two per positive root, in root order."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    out = []
-    for r in positive_eps_roots(n):
-        e_ij, e_ji = matrix_unit(n, r.i, r.j), matrix_unit(n, r.j, r.i)
-        out.append(e_ij - e_ji)
-        out.append(1.0j * (e_ij + e_ji))
-    return out
+    return list(su_from_coords(n, np.eye(n * (n + 1))))
 
 
 def su_killing(n: int, x: np.ndarray, y: np.ndarray) -> complex:
@@ -122,18 +116,25 @@ def m_component(x: np.ndarray, r: EpsRoot) -> np.ndarray:
 
 
 def su_from_coords(n: int, coords: np.ndarray) -> np.ndarray:
-    """Expand real coordinates over su_m_basis into a matrix, keeping leading axes."""
-    basis = np.stack(su_m_basis(n))
+    """Expand real coordinates over su_m_basis into a matrix, keeping leading axes: the block
+    coordinates (u, v) of eps_p - eps_q, p < q, give u + iv at (p, q) and -u + iv at (q, p)."""
+    p, q = _eps_entries(n)
     coords = np.asarray(coords, dtype=float)
-    if coords.shape[-1:] != (len(basis),):
-        raise DimensionError(f"expected {len(basis)} coordinates, got {coords.shape}")
-    return np.tensordot(coords, basis, axes=1)
+    if coords.shape[-1:] != (2 * len(p),):
+        raise DimensionError(f"expected {2 * len(p)} coordinates, got {coords.shape}")
+    u, v = coords[..., ::2], 1j * coords[..., 1::2]
+    out = np.zeros(coords.shape[:-1] + (n + 1, n + 1), dtype=complex)
+    out[..., p, q], out[..., q, p] = u + v, v - u
+    return out
 
 
 def su_to_coords(n: int, x: np.ndarray) -> np.ndarray:
     """Read tangent coordinates off the strict upper triangle, keeping leading axes."""
-    rows, cols = np.array([(r.i - 1, r.j - 1) for r in positive_eps_roots(n)]).T
-    entries = np.asarray(x)[..., rows, cols]
+    p, q = _eps_entries(n)
+    x = np.asarray(x)
+    if x.shape[-2:] != (n + 1, n + 1):
+        raise DimensionError(f"expected matrices of shape {(n + 1, n + 1)}, got {x.shape}")
+    entries = x[..., p, q]
     return np.stack([entries.real, entries.imag], axis=-1).reshape(*entries.shape[:-1], -1)
 
 
@@ -161,7 +162,7 @@ class SuAlignment:
         H_h maps to e_hh - e_(h+1)(h+1), two entries per h; then, for alpha = eps_p - eps_q
         in rs.positive_roots order, E_alpha to signs[alpha] e_pq; then E_-alpha to
         signs[alpha] e_qp. Built once per alignment object, so a replaced one builds its own."""
-        p, q = np.array(positive_eps_roots(self.n)).T - 1  # listed in rs.positive_roots order
+        p, q = _eps_entries(self.n)  # listed in rs.positive_roots order
         s = np.fromiter(map(self.signs.__getitem__, self.rs.positive_roots), np.int64, len(p))
         h, e = np.arange(self.n), self.n + np.arange(len(p))
         table = np.concatenate([[h, h, h, np.ones_like(h)], [h, h + 1, h + 1, -np.ones_like(h)],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flagconn import (
+    DimensionError,
     DomainError,
     LieElement,
     RepresentationError,
@@ -283,6 +284,56 @@ def test_m_bracket_of_m_vectors_is_real(a3):
         x = a3.mb.to_lie(rng.normal(size=a3.mb.dim))
         y = a3.mb.to_lie(rng.normal(size=a3.mb.dim))
         project_m(a3.mb, bracket(a3.sc, x, y))  # raises if reality is broken
+
+
+@pytest.mark.parametrize("alpha,beta", [((0, 0), (1, 0)), ((1, 0), (5, 5)), ((2, 0), (1, 0)),
+                                        ((1, 0), (0, 0))])
+def test_root_string_p_takes_roots_only(a2, alpha, beta):
+    # a zero alpha never ended the string; (5, 5) gave 0 and (2, 0) gave 1
+    with pytest.raises(DomainError):
+        root_string_p(a2.rs, alpha, beta)
+
+
+def test_e_pair_takes_roots_only(a2):
+    assert a2.killing.e_pair((1, 1)) == a2.killing.e_pair((-1, -1)) != 0
+    for key in ((2, 0), (0, 0), (1, 0, 0)):
+        with pytest.raises(DomainError):  # was a bare KeyError
+            a2.killing.e_pair(key)
+
+
+def test_basis_vector_takes_an_index_of_the_basis(a2):
+    assert np.array_equal(a2.mb.basis_vector(np.int64(2)), np.eye(6)[2])
+    assert np.array_equal(a2.mb.basis_vector(5), np.eye(6)[5])
+    # -1 was the last vector, True the all-ones one; 6 and 1.0 raised IndexError
+    for k in (-1, 6, True, np.True_, 1.0, "2", None):
+        with pytest.raises(DomainError):
+            a2.mb.basis_vector(k)
+
+
+def test_elements_of_another_shape_or_rank_are_refused(a2):
+    with pytest.raises(DimensionError):
+        LieElement(2, [1.0])
+    with pytest.raises(DimensionError):
+        LieElement.zero(2) + LieElement.zero(3)
+    other = LieElement.root_vector(3, (1, 0, 0))
+    for call in (lambda: bracket(a2.sc, other, a2.mb.u_vec((1, 0))),
+                 lambda: bracket(a2.sc, a2.mb.u_vec((1, 0)), other),
+                 lambda: project_m(a2.mb, other)):
+        with pytest.raises(DimensionError):
+            call()
+
+
+def test_difference_and_scalar_multiple_of_elements():
+    x = LieElement(2, [1.0, 2.0], {(1, 0): 2.0, (0, 1): 1.0j})
+    y = LieElement(2, [1.0, 0.0], {(1, 0): 2.0, (-1, -1): 3.0})
+    assert (x - y).roots == {(0, 1): 1.0j, (-1, -1): -3.0}
+    assert np.array_equal((x - y).cartan, [0.0, 2.0])
+    assert (3 * x).roots == {(1, 0): 6.0, (0, 1): 3.0j} and np.array_equal((3 * x).cartan, [3, 6])
+
+
+def test_n_is_undefined_off_the_sum_table(a2):
+    with pytest.raises(DomainError):
+        a2.sc.n((1, 0), (-1, 0))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("D", 4)])

@@ -97,6 +97,31 @@ def test_missing_coefficient_is_a_config_error(tmp_path, capsys):
     assert "(1, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ['"normal"', '{"coefficients": [{"root": [0, 1], "c": 1}, '
+                                     '{"root": [1, 0], "c": 2}, {"root": [1, 1], "c": 3}]}',
+                                     "{}", "3", "null"],
+                         ids=["normal-string", "wrapped-list", "object", "number", "null"])
+def test_a_coefficient_file_holds_one_json_list(tmp_path, capsys, content):
+    # a file holding "normal" ran the normal metric, a wrapped list was unwrapped
+    cpath = tmp_path / "coeffs.json"
+    cpath.write_text(content)
+    code, out = run_cli(tmp_path, "--family", "A", "--rank", "2", "--coeffs", str(cpath))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR and not out.exists()
+    assert err.startswith("error: a coefficient file must hold one JSON list")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--config", "--coeffs"])
+def test_malformed_json_is_one_error_line(tmp_path, capsys, flag):
+    path = tmp_path / "input.json"
+    path.write_text('[{"root": [0, 1], "c": 1.0},')
+    code, out = run_cli(tmp_path, "--family", "A", "--rank", "2", flag, str(path))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR and not out.exists()
+    assert err.startswith("error: malformed JSON input: ") and err.count("\n") == 1
+
+
 def test_infinite_coefficient_is_a_config_error(tmp_path, capsys):
     coeffs = [
         {"root": [0, 1], "c": 1.0},

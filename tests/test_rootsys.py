@@ -174,6 +174,16 @@ def test_rejects_unsupported_configurations(family, rank):
         build_root_system(family, rank)
 
 
+@pytest.mark.parametrize("rank", [2.0, 2.5, "2", None])
+def test_a_rank_that_is_no_integer_is_refused(rank):
+    with pytest.raises(ConfigurationError):
+        build_root_system("A", rank)
+
+
+def test_zero_is_not_positive():
+    assert build_root_system("A", 2).is_positive((0, 0)) is False
+
+
 def test_one_system_per_family_and_rank():
     rs = build_root_system("a", 4)
     assert rs is build_root_system("A", 4)

@@ -31,7 +31,6 @@ from flagconn.chevalley import LieElement, build_m_basis
 from flagconn.oracle import DEFAULT_TOLERANCE, _residual_report
 from flagconn.rootsys import add_roots, negate
 from flagconn.su_realization import (
-    matrix_unit,
     positive_eps_roots,
     su_from_coords,
     su_to_coords,
@@ -90,6 +89,66 @@ def test_a_wrong_coordinate_length_is_a_dimension_error():
         su_from_coords(2, np.ones(5))
     with pytest.raises(DimensionError):
         su_from_coords(2, np.ones((3, 7)))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 4), (2, 2), (3,), (4, 3)])
+def test_matrices_of_another_shape_are_a_dimension_error(shape):
+    # a (3, 3, 4) stack was read as three 3 x 4 matrices, a 2 x 2 one raised IndexError
+    with pytest.raises(DimensionError):
+        su_to_coords(2, np.zeros(shape))
+
+
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_the_coordinate_maps_refuse_n_below_one(n):
+    for call in (lambda: su_to_coords(n, np.zeros((2, 2))), lambda: su_from_coords(n, np.zeros(2)),
+                 lambda: su_m_basis(n)):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_su_from_coords_writes_each_block_on_its_two_entries(n):
+    # (u, v) on eps_p - eps_q, p < q: u + iv at (p, q), -u + iv at (q, p), over leading axes
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(2, 3, n * (n + 1)))
+    out = su_from_coords(n, x)
+    assert out.shape == (2, 3, n + 1, n + 1) and not np.diagonal(out, axis1=-2, axis2=-1).any()
+    for k, r in enumerate(positive_eps_roots(n)):
+        u, v = x[..., 2 * k], x[..., 2 * k + 1]
+        assert np.array_equal(out[..., r.i - 1, r.j - 1], u + 1j * v)
+        assert np.array_equal(out[..., r.j - 1, r.i - 1], -u + 1j * v)
+    basis = su_m_basis(n)
+    for k, r in enumerate(positive_eps_roots(n)):
+        e_ij, e_ji = _matrix_unit(n, r.i, r.j), _matrix_unit(n, r.j, r.i)
+        assert np.array_equal(basis[2 * k], e_ij - e_ji)
+        assert np.array_equal(basis[2 * k + 1], 1j * (e_ij + e_ji))
+
+
+def test_u_sun_builds_no_dense_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("u_sun scatters the coordinates onto their entries")
+
+    coeffs = {r: 1.0 + k for k, r in enumerate(positive_eps_roots(3))}
+    x, y = np.eye(12)[[0, 5]], np.eye(12)[[7, 2]]
+    want = u_sun(3, coeffs, x, y)
+    monkeypatch.setattr(flagconn.su_realization, "su_m_basis", refuse)
+    assert np.array_equal(u_sun(3, coeffs, x, y), want)
+
+
+def test_u_sun_memory_at_a30_stays_below_two_mib():
+    # the dense basis stack was (930, 31, 31) complex: a 27.8 MiB peak
+    n = 30
+    rng = np.random.default_rng(30)
+    coeffs = {r: float(c) for r, c in zip(positive_eps_roots(n), rng.uniform(0.1, 10, 465))}
+    x, y = rng.normal(size=(2, n * (n + 1)))
+    u_sun(n, coeffs, x, y)  # warm-up
+    tracemalloc.start()
+    try:
+        u_sun(n, coeffs, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_eps_order_compatibility():
@@ -366,6 +425,13 @@ def test_su_exact_checks_are_judged_exactly(n):
         assert reports[name].max_residual == 0.0 and reports[name].passed
 
 
+def _matrix_unit(n, i, j):
+    """The dense matrix unit e_ij of gl(n+1), 1-based, for the references below."""
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    out[i - 1, j - 1] = 1.0
+    return out
+
+
 def _to_matrix_loop(al, x):
     """The per-root route that SuAlignment.to_matrix replaced, kept as its reference: one
     dense difference of matrix units per Cartan coefficient, one matrix unit per root."""
@@ -373,14 +439,14 @@ def _to_matrix_loop(al, x):
     out = np.zeros((n + 1, n + 1), dtype=complex)
     for s in range(al.rs.rank):
         if x.cartan[s]:
-            out += x.cartan[s] * (matrix_unit(n, s + 1, s + 1) - matrix_unit(n, s + 2, s + 2))
+            out += x.cartan[s] * (_matrix_unit(n, s + 1, s + 1) - _matrix_unit(n, s + 2, s + 2))
     for gamma, c in x.roots.items():
         pos = al.rs.is_positive(gamma)
         alpha = gamma if pos else negate(gamma)
         r = simple_to_eps(n, alpha)
         if not pos:
             r = EpsRoot(r.j, r.i)
-        out += c * al.signs[alpha] * matrix_unit(n, r.i, r.j)
+        out += c * al.signs[alpha] * _matrix_unit(n, r.i, r.j)
     return out
 
 
@@ -441,7 +507,7 @@ def test_the_crosscheck_builds_no_dense_image(n, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the cross-check reads the images as matrix-unit entries only")
 
-    for name in ("su_m_basis", "su_from_coords", "matrix_unit", "LieElement"):
+    for name in ("su_m_basis", "su_from_coords", "LieElement"):
         monkeypatch.setattr(flagconn.su_realization, name, refuse)
     monkeypatch.setattr(flagconn.su_realization.SuAlignment, "to_matrix", refuse)
     pl = pipeline("A", n)
@@ -553,7 +619,7 @@ def _alignment_dense(n):
         for simple in rs.simple_roots:
             beta = tuple(a - b for a, b in zip(alpha, simple))
             if beta in rs.all_roots and rs.is_positive(beta):
-                e_b, e_s = (matrix_unit(n, *simple_to_eps(n, r)) for r in (beta, simple))
+                e_b, e_s = (_matrix_unit(n, *simple_to_eps(n, r)) for r in (beta, simple))
                 i, j = simple_to_eps(n, alpha)
                 n_mat = int((e_b @ e_s - e_s @ e_b)[i - 1, j - 1].real)  # [e_b, e_s] = N' e_ij
                 signs[alpha] = signs[beta] * n_mat * sc.n(beta, simple)
