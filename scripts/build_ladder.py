@@ -1,0 +1,140 @@
+"""Cold-build stage ladder: the fastest of REPEAT cold builds per stage, on a fixed list of systems.
+
+Stages, each timed from cold caches: the root system (``build_root_system``), the
+structure constants (``chevalley_constants``), the Killing form (``killing_gram``, with
+the adjoint entries it reads) and the bracket entries (``build_m_basis`` and
+``m_bracket_entries``). One more cold build runs under ``tracemalloc``; it gives the
+traced peak of the root-system stage and of the whole build, and the memory the root
+system and the constants hold once built.
+
+    python3 scripts/build_ladder.py --label change --out BENCH_build.json
+
+``--src`` points at the ``src`` directory to import ``flagconn`` from (default: the one
+of this checkout), so one copy of the script measures two trees alike. ``--label`` names
+the run in the output file; a run under another label already in the file is kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import platform
+import sys
+import tracemalloc
+from pathlib import Path
+from time import perf_counter
+
+LADDER = ([("A", r) for r in range(2, 11)] + [(f, r) for f in "BC" for r in range(2, 7)]
+          + [("D", r) for r in range(3, 7)] + [("A", 20), ("D", 24), ("A", 40)])
+STAGES = ("root_system", "constants", "killing", "bracket_entries")
+REPEAT = 7  # cold builds per system; the fastest of them is kept per stage
+MIB = 2.0 ** 20
+
+
+def _caches(flagconn) -> list:
+    """Every memoized function of the package."""
+    import importlib
+    import pkgutil
+
+    mods = [importlib.import_module(f"flagconn.{m.name}")
+            for m in pkgutil.iter_modules(flagconn.__path__)]
+    found = {id(v): v for mod in mods for v in vars(mod).values()
+             if callable(getattr(v, "cache_clear", None))}
+    return list(found.values())
+
+
+def _build(flagconn, caches, family, rank, marks):
+    """One cold build; marks(stage) is called after each stage."""
+    from flagconn.chevalley import m_bracket_entries
+
+    for cache in caches:
+        cache.cache_clear()
+    marks(None)
+    rs = flagconn.build_root_system(family, rank)
+    marks("root_system")
+    sc = flagconn.chevalley_constants(rs)
+    marks("constants")
+    flagconn.killing_gram(rs, sc)
+    marks("killing")
+    m_bracket_entries(sc, flagconn.build_m_basis(rs))
+    marks("bracket_entries")
+    return rs, sc
+
+
+def measure(flagconn, family: str, rank: int) -> dict:
+    caches = _caches(flagconn)
+    best = dict.fromkeys(STAGES, float("inf"))
+    for _ in range(REPEAT):
+        last = []
+
+        def timed(stage):
+            now = perf_counter()
+            if stage is not None:
+                best[stage] = min(best[stage], now - last[-1])
+            last.append(perf_counter())
+
+        _build(flagconn, caches, family, rank, timed)
+
+    peaks = {}
+
+    def traced(stage):
+        if stage is None:
+            gc.collect()
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            peaks["base"] = tracemalloc.get_traced_memory()[0]
+        else:
+            current, peak = tracemalloc.get_traced_memory()
+            peaks[stage] = (current - peaks["base"], peak - peaks["base"])
+
+    try:
+        _build(flagconn, caches, family, rank, traced)
+    finally:
+        tracemalloc.stop()
+    return {
+        **{f"{stage}_ms": round(best[stage] * 1e3, 4) for stage in STAGES},
+        "build_ms": round(sum(best.values()) * 1e3, 4),
+        "root_system_peak_mib": round(peaks["root_system"][1] / MIB, 3),
+        "build_peak_mib": round(max(peak for _, peak in
+                                    (peaks[s] for s in STAGES)) / MIB, 3),
+        "held_rs_sc_mib": round(peaks["constants"][0] / MIB, 3),
+    }
+
+
+def main(argv=None) -> int:
+    here = Path(__file__).resolve().parents[1]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(here / "src"))
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--out", default=None, help="JSON file to merge the run into")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import numpy as np
+
+    import flagconn
+
+    run = {}
+    for family, rank in LADDER:
+        run[f"{family}{rank}"] = row = measure(flagconn, family, rank)
+        print(f"{family}{rank:<3} " + " ".join(f"{k} {v}" for k, v in row.items()), flush=True)
+    if args.out:
+        path = Path(args.out)
+        doc = json.loads(path.read_text()) if path.exists() else {}
+        doc["about"] = {
+            "command": f"python3 scripts/build_ladder.py --src SRC --label LABEL --out {path.name}",
+            "times": f"fastest of {REPEAT} cold builds per stage, in ms; build_ms is their sum",
+            "memory": "one more cold build under tracemalloc, MiB over the traced start",
+        }
+        doc["machine"] = {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
+        }
+        doc.setdefault("runs", {})[args.label] = run
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

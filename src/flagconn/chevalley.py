@@ -22,7 +22,18 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionError, DomainError, RepresentationError
-from .rootsys import Coords, RootSystem, _check_roots, _join, _one_system, add_roots, negate
+from .rootsys import (
+    Coords,
+    RootSystem,
+    _check_roots,
+    _drop_unset,
+    _join,
+    _Mirror,
+    _one_system,
+    _pair_keys,
+    add_roots,
+    negate,
+)
 
 
 @dataclass
@@ -67,12 +78,22 @@ class LieElement:
 
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
-    """Exact bracket data for a Chevalley basis of the given root system."""
+    """Exact bracket data for a Chevalley basis of the given root system.
+
+    ``n_rows`` holds N(a, b) on each row of ``rs.triples``. The dict ``n_coeff`` maps
+    the root pairs of those rows, in their order, to the same constants; it is built
+    on its first read, by ``n``, ``bracket`` and ``z_term`` (so by ``u_root_pair`` and
+    ``su_realization.build_alignment``), unless one is passed in.
+    """
 
     rs: RootSystem
-    n_coeff: MappingProxyType[tuple[Coords, Coords], int]
     coroot_table: MappingProxyType[Coords, tuple[int, ...]]  # alpha^vee over H_1..H_l
     n_rows: np.ndarray  # read-only int64 N(a, b) on each row (a, b, s) of rs.triples
+    n_coeff: MappingProxyType[tuple[Coords, Coords], int] = _Mirror(
+        lambda sc: dict(zip(_pair_keys(sc.rs), sc.n_rows.tolist())))
+
+    def __post_init__(self):
+        _drop_unset(self, "n_coeff")
 
     def n(self, alpha: Coords, beta: Coords) -> int:
         """N(alpha, beta); defined exactly when alpha, beta, alpha+beta are roots."""
@@ -153,8 +174,7 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
     n.flags.writeable = False  # shared through the cache
     simple = np.array([rs.norm_table[r] for r in rs.simple_roots])
     coroots = _exact(np.array(rs.roots, dtype=np.int64) * simple, norm[:, None]).tolist()
-    return StructureConstants(rs, MappingProxyType(dict(zip(rs.sum_table, n.tolist()))),
-                              MappingProxyType(dict(zip(rs.roots, map(tuple, coroots)))), n)
+    return StructureConstants(rs, MappingProxyType(dict(zip(rs.roots, map(tuple, coroots)))), n)
 
 
 def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
@@ -380,7 +400,7 @@ def m_bracket_entries(
     j = np.concatenate([2 * q, 2 * q + 1, 2 * q, 2 * q + 1])
     k = np.concatenate([2 * r, 2 * r + 1, 2 * r + 1, 2 * r])  # UU, UV, VU, VV
     t = np.concatenate([sg * sd * n, sg * n, sd * n, -n]).astype(float)
-    order = np.lexsort((k, j, i))
+    order = np.argsort((i * mb.dim + j) * mb.dim + k)  # the keys are unique: row-major (i, j, k)
     i, j, k, t = i[order], j[order], k[order], t[order]
     for a in (i, j, k, t):
         a.flags.writeable = False  # shared through the cache

@@ -7,11 +7,17 @@ sorting and for selecting canonical pairs downstream. Systems are generated
 by root-string closure from the Cartan pairing, not from hard-coded tables,
 so the standard positive-root counts act as an independent cross-check.
 One root-triple table per system lists every pair of roots whose sum is a
-root as index rows; the public ``sum_table`` is built from it. The sums are
-found through ``uint64`` keys linear in the coordinates modulo 2**64, at every
-rank: wrapping arithmetic keeps the key of a sum the sum of the keys, a build
-in which two roots share a key is refused, and a key match counts only where
-the coordinates add up exactly.
+root as index rows. The sums are found through ``uint64`` keys linear in the
+coordinates modulo 2**64, at every rank, one fixed block of rows at a time:
+wrapping arithmetic keeps the key of a sum the sum of the keys, a build in
+which two roots share a key is refused, and a key match counts only where the
+coordinates add up exactly.
+
+The tuple-keyed dict ``sum_table`` mirrors the triple table for the
+``LieElement`` API (``root_sum``, ``chevalley.bracket``, ``connection.z_term``).
+It is built on its first read, as is ``StructureConstants.n_coeff``; the
+array pipeline reads only the index arrays and never builds them, nor do the
+B, C and D CLI jobs (an A job reads N in its su(n+1) alignment).
 """
 
 from __future__ import annotations
@@ -36,17 +42,58 @@ _LONG, _SHORT = 4, 2
 
 
 def negate(root: Coords) -> Coords:
-    return tuple(-c for c in root)
+    return tuple(map(operator.neg, root))
 
 
 def add_roots(a: Coords, b: Coords) -> Coords:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
+
+
+class _Mirror:
+    """A read-only dict field built from the index arrays on its first read.
+
+    As the class default of a dataclass field it gives the default None, which the
+    owner's ``__post_init__`` drops from the instance (``_drop_unset``). The built mirror
+    is then stored on the instance, where later reads find it before this descriptor;
+    a value passed to ``__init__`` is stored there from the start. Such a read costs
+    about 2.5 times a read of another field (27 against 11 ns on CPython 3.11), since
+    the class attribute keeps CPython from specializing it. Both stores go through
+    ``object.__setattr__``, never through ``vars(obj)``: materializing the instance
+    ``__dict__`` would turn every attribute read of the instance into a dict lookup,
+    20 -> 35 ns.
+    """
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the dataclass default: unset until first read
+        mirror = MappingProxyType(self.build(obj))
+        object.__setattr__(obj, self.name, mirror)  # past a frozen dataclass's __setattr__
+        return mirror
+
+
+def _drop_unset(obj, name: str) -> None:
+    """Drop the None that __init__ stored for a mirror field, so that its first read builds it."""
+    if getattr(obj, name) is None:
+        object.__delattr__(obj, name)
+
+
+def _pair_keys(rs: "RootSystem"):
+    """The root pairs (roots[a], roots[b]) of the rows of rs.triples, in their order."""
+    a, b = rs.triples[:2].tolist()
+    return zip(map(rs.roots.__getitem__, a), map(rs.roots.__getitem__, b))
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every index pair (a, b) with left[a] == right[b], grouped by a: one sorted join."""
     order = np.argsort(right)
-    lo, hi = (np.searchsorted(right[order], left, side) for side in ("left", "right"))
+    ranked = right[order]
+    lo, hi = (np.searchsorted(ranked, left, side) for side in ("left", "right"))
     a = np.repeat(np.arange(len(left)), hi - lo)
     return a, order[np.arange(len(a)) + np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo)]
 
@@ -81,11 +128,14 @@ class RootSystem:
     """Immutable root system of classical type A, B, C or D.
 
     ``positive_roots`` is sorted strictly ascending in the lexicographic
-    order; ``all_roots`` is the disjoint union with the negatives;
-    ``sum_table`` maps a pair of roots to their sum exactly when the sum is
-    again a root; ``triples`` holds one row (a, b, s) of indices into ``roots``
-    (the positive roots, then their negatives) per key, in its order. One object
-    per (family, rank) is shared, so its tables are read-only.
+    order; ``all_roots`` is the disjoint union with the negatives; ``triples``
+    holds one row (a, b, s) of indices into ``roots`` (the positive roots, then
+    their negatives) for each pair of roots whose sum is again a root, in the
+    order of a loop over ``all_roots`` twice. ``sum_table`` maps each such pair
+    (roots[a], roots[b]) to roots[s], in the order of the rows; it is built on
+    its first read, by the ``LieElement`` API (``root_sum``, ``bracket``,
+    ``z_term``), unless one is passed in. One object per (family, rank) is
+    shared, so its tables are read-only.
     """
 
     family: str
@@ -94,10 +144,14 @@ class RootSystem:
     positive_roots: tuple[Coords, ...]
     roots: tuple[Coords, ...]
     all_roots: frozenset[Coords]
-    sum_table: MappingProxyType[tuple[Coords, Coords], Coords]
     pairing_matrix: tuple[tuple[int, ...], ...]
     norm_table: MappingProxyType[Coords, int]  # scaled squared length (root, root); exact integer
     triples: np.ndarray  # int64 rows (a, b, s)
+    sum_table: MappingProxyType[tuple[Coords, Coords], Coords] = _Mirror(
+        lambda rs: dict(zip(_pair_keys(rs), map(rs.roots.__getitem__, rs.triples[2].tolist()))))
+
+    def __post_init__(self):
+        _drop_unset(self, "sum_table")
 
     def is_positive(self, v: Coords) -> bool:
         """Lexicographic positivity of a lattice vector."""
@@ -113,23 +167,27 @@ class RootSystem:
 
 
 def _generate_positive(pairing, simple: tuple[Coords, ...]) -> set[Coords]:
-    """Close the simple roots, the unit vectors, under root strings."""
-    positive, frontier = set(simple), list(simple)
+    """Close the simple roots, the unit vectors, under root strings, height by height.
+
+    Each root carries its pairing row <beta, alpha_j^vee> and its down-string lengths
+    p_j, the largest p with beta - p alpha_j a root: alpha_k has row k of the pairing and
+    p = 0. beta + alpha_i is a root iff p_i - <beta, alpha_i^vee> >= 1; it has beta's row
+    plus row i, and p_i(beta) + 1 along alpha_i, set when beta is met, as every root of
+    a height is met before the next height is grown.
+    """
+    positive, frontier = set(simple), list(zip(simple, pairing))
+    down = {beta: [0] * len(simple) for beta in simple}
     while frontier:
-        grown: list[Coords] = []
-        for beta in frontier:
-            for i, c in enumerate(beta):
-                # down-string length p; the whole down string of a positive root along
-                # a simple root stays positive, so searching the positive set is enough
-                p = 0
-                while p < c and beta[:i] + (c - p - 1,) + beta[i + 1:] in positive:
-                    p += 1
-                # beta + alpha_i is a root iff p - <beta, alpha_i^vee> >= 1
-                if p > sum(b * row[i] for b, row in zip(beta, pairing)):
-                    cand = beta[:i] + (c + 1,) + beta[i + 1:]
+        grown: list[tuple[Coords, tuple[int, ...]]] = []
+        for beta, row in frontier:
+            for i, (p, q) in enumerate(zip(down[beta], row)):
+                if p > q:
+                    cand = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                     if cand not in positive:
                         positive.add(cand)
-                        grown.append(cand)
+                        down[cand] = [0] * len(simple)
+                        grown.append((cand, tuple(map(operator.add, row, pairing[i]))))
+                    down[cand][i] = p + 1
         frontier = grown
     return positive
 
@@ -155,18 +213,23 @@ def _key_multipliers(rank: int) -> np.ndarray:
     return np.cumprod(np.full(rank, 0x9E3779B97F4A7C15, dtype=np.uint64))
 
 
+# root pairs keyed per block of the sum search: a few hundred KiB of temporaries at any rank
+_SEARCH_BLOCK = 1 << 16
+
+
 @functools.lru_cache(maxsize=None)
 def _root_system(fam: str, rank: int) -> RootSystem:
     pairing = _cartan_pairing(fam, rank)
     simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
     positive = _generate_positive(pairing, simple)
     pos_sorted = tuple(sorted(positive))  # tuple order is the lexicographic order
-    all_roots = frozenset(positive) | {negate(r) for r in positive}
+    negative = dict(zip(pos_sorted, map(negate, pos_sorted)))
+    all_roots = frozenset(positive) | {negative[r] for r in positive}
 
     # in triple-table order, keyed linearly modulo 2**64: wrapping keeps key(a) + key(b) =
     # key(a + b) exact, so with distinct root keys no sum is missed, and a key match counts
     # only where the coordinates add up (roots lie in [-2, 2], their sums in [-4, 4])
-    roots = pos_sorted + tuple(map(negate, pos_sorted))
+    roots = pos_sorted + tuple(negative.values())
     coords = np.array(roots, dtype=np.int8)
     keys = coords.astype(np.uint64) @ _key_multipliers(rank)
     order = np.argsort(keys)
@@ -174,19 +237,20 @@ def _root_system(fam: str, rank: int) -> RootSystem:
     if (ranked[1:] == ranked[:-1]).any():
         raise DomainError(f"two roots of {fam}{rank} share a sum key")
 
-    def find(k):  # the index of the root with key k, -1 where there is none
-        at = np.minimum(np.searchsorted(ranked, k), len(keys) - 1)
-        return np.where(ranked[at] == k, order[at], -1)
-
     index = {r: i for i, r in enumerate(roots)}  # listed: the root indices in all_roots order
     listed = np.fromiter(map(index.__getitem__, all_roots), np.int64, len(roots))
-    sums = find(keys[listed][:, None] + keys[listed])
-    a, b = np.nonzero(sums >= 0)  # row-major, the order of a loop over all_roots twice
-    a, b, s = listed[a], listed[b], sums[a, b]
-    exact = (coords[a] + coords[b] == coords[s]).all(axis=1)
-    triples = np.stack([a[exact], b[exact], s[exact]])
+    left = keys[listed]
+    step = max(1, _SEARCH_BLOCK // len(roots))  # rows per block: its temporaries stay small
+
+    def find(start):  # rows (a, b, s) of the block of pairs from row start on, key matches
+        k = left[start:start + step, None] + left
+        at = np.minimum(np.searchsorted(ranked, k), len(keys) - 1)
+        row, col = np.nonzero(ranked[at] == k)  # row-major: the order of a loop over all_roots
+        return np.stack([listed[row + start], listed[col], order[at[row, col]]])
+
+    a, b, s = candidates = np.concatenate([find(at) for at in range(0, len(roots), step)], axis=1)
+    triples = candidates[:, (coords[a] + coords[b] == coords[s]).all(axis=1)]
     triples.flags.writeable = False  # shared through the cache
-    sum_table = {(roots[a], roots[b]): roots[s] for a, b, s in triples.T.tolist()}
 
     norms = _simple_norms(fam, rank)
     gram = np.array([[pairing[i][j] * norms[j] // 2 for j in range(rank)] for i in range(rank)])
@@ -199,7 +263,6 @@ def _root_system(fam: str, rank: int) -> RootSystem:
         positive_roots=pos_sorted,
         roots=roots,
         all_roots=all_roots,
-        sum_table=MappingProxyType(sum_table),
         pairing_matrix=pairing,
         norm_table=MappingProxyType(norm_table),
         triples=triples,

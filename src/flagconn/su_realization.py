@@ -108,10 +108,11 @@ def su_killing(n: int, x: np.ndarray, y: np.ndarray) -> complex:
 
 
 def m_component(x: np.ndarray, r: EpsRoot) -> np.ndarray:
-    """Projection of a tangent matrix onto the 2-dimensional block of r."""
+    """Projection of a tangent matrix onto the 2-dimensional block of r, over the last two
+    axes: leading axes are kept."""
     out = np.zeros_like(x)
-    out[r.i - 1, r.j - 1] = x[r.i - 1, r.j - 1]
-    out[r.j - 1, r.i - 1] = x[r.j - 1, r.i - 1]
+    out[..., r.i - 1, r.j - 1] = x[..., r.i - 1, r.j - 1]
+    out[..., r.j - 1, r.i - 1] = x[..., r.j - 1, r.i - 1]
     return out
 
 
@@ -265,7 +266,8 @@ def su3_coefficients(c1: float, c2: float, c3: float) -> tuple[float, float, flo
 
 
 def u_su3(c1: float, c2: float, c3: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """U for SU(3)/T with the block labels m1 = (1,2), m2 = (1,3), m3 = (2,3)."""
+    """U for SU(3)/T with the block labels m1 = (1,2), m2 = (1,3), m3 = (2,3); leading axes
+    of ``x`` and ``y`` broadcast, as in u_sun."""
     w1, w2, w3 = su3_coefficients(c1, c2, c3)
     xm, ym = su_from_coords(2, x), su_from_coords(2, y)
     comps = [(m_component(xm, r), m_component(ym, r)) for r in

@@ -416,6 +416,21 @@ def test_u_su3_equals_u_sun():
         )
 
 
+@pytest.mark.parametrize("shape", [(3, 6), (2, 6), (2, 3, 6)])
+def test_u_su3_broadcasts_leading_axes(shape):
+    # a stack of vectors, of any leading shape, gives the results of its rows one by one;
+    # leading axes of length 3 once indexed the matrix instead, silently
+    rng = np.random.default_rng(29)
+    c1, c2, c3 = 1.3, 0.7, 2.9
+    x, y = rng.normal(size=shape), rng.normal(size=shape)
+    rows = np.array([u_su3(c1, c2, c3, a, b) for a, b in zip(x.reshape(-1, 6), y.reshape(-1, 6))])
+    stacked = u_su3(c1, c2, c3, x, y)
+    assert stacked.shape == shape
+    assert np.allclose(stacked.reshape(-1, 6), rows, rtol=1e-15, atol=1e-15)
+    coeffs = {(1, 2): c1, (1, 3): c2, (2, 3): c3}
+    assert np.allclose(stacked, u_sun(2, coeffs, x, y), atol=1e-14)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_su_exact_checks_are_judged_exactly(n):
     pl = pipeline("A", n)

@@ -12,6 +12,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
 
@@ -20,7 +21,7 @@ import pytest
 
 import flagconn
 from flagconn import DomainError, build_m_basis, build_root_system, chevalley_constants, negate
-from flagconn import rootsys
+from flagconn import chevalley, rootsys
 from flagconn.chevalley import _adjoint, killing_gram, m_bracket_entries, root_string_p
 from flagconn.rootsys import add_roots
 from test_chevalley import _sum_table_entries
@@ -198,6 +199,93 @@ def test_adjoint_killing_and_bracket_entries_equal_the_loops(family, rank):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+# every classical system of rank <= 8, and the high-rank systems of the build benchmarks
+MIRRORED = ([("A", r) for r in range(1, 9)] + [(f, r) for f in "BC" for r in range(2, 9)]
+            + [("D", r) for r in range(3, 9)] + [("A", 20), ("D", 24), ("A", 40)])
+
+
+@pytest.mark.parametrize("family,rank", MIRRORED)
+def test_mirrors_built_on_first_read_equal_the_pair_loops(family, rank):
+    # uncached builds: their mirrors are not yet read anywhere else
+    rs = rootsys._root_system.__wrapped__(family, rank)
+    sc = chevalley.chevalley_constants.__wrapped__(rs)
+    assert "sum_table" not in vars(rs) and "n_coeff" not in vars(sc)
+    sum_table, norm_table = _root_tables_loop(rs)
+    ref_rs = dataclasses.replace(rs, sum_table=MappingProxyType(sum_table),
+                                 norm_table=MappingProxyType(norm_table))
+    n_coeff, _ = _constants_loop(ref_rs)
+    assert list(rs.sum_table.items()) == list(sum_table.items())  # also the key order
+    assert list(sc.n_coeff.items()) == list(n_coeff.items())
+    assert all(type(v) is int for v in sc.n_coeff.values())
+    for table in (rs.sum_table, sc.n_coeff):
+        assert isinstance(table, MappingProxyType)
+    assert rs.sum_table is rs.sum_table and sc.n_coeff is sc.n_coeff  # built once
+
+
+def test_a_mirror_passed_in_is_kept():
+    rs = build_root_system("A", 3)
+    table = MappingProxyType({((1, 0, 0), (0, 1, 0)): (1, 1, 0)})
+    replaced = dataclasses.replace(rs, sum_table=table)
+    assert replaced.sum_table is table and replaced.triples is rs.triples
+    assert dataclasses.replace(rs, norm_table=rs.norm_table).sum_table == rs.sum_table
+
+
+def _python(code, *flags, cwd=None):
+    """The standard output of code run in a fresh interpreter on this package."""
+    src = str(Path(flagconn.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_the_pipeline_and_the_b_c_d_jobs_never_build_the_mirrors(tmp_path):
+    # in a fresh interpreter, so that no other test has read a mirror of the shared systems;
+    # the A3 job is the control: its su(4) alignment reads N through sc.n
+    code = """if True:
+        import contextlib, io
+        import numpy as np
+        from flagconn import *
+        from flagconn.cli import JobConfig, run_job
+
+        def built(family, rank):
+            rs = build_root_system(family, rank)
+            sc = chevalley_constants(rs)
+            return f"{family}{rank}:{'sum_table' in vars(rs)}:{'n_coeff' in vars(sc)}"
+
+        for family, rank in (("A", 4), ("B", 3), ("C", 3), ("D", 4)):
+            rs = build_root_system(family, rank)
+            sc, mb = chevalley_constants(rs), build_m_basis(rs)
+            spec = MetricSpec.from_values(rs, np.linspace(0.5, 3.0, len(rs.positive_roots)))
+            gram = build_metric(rs, killing_gram(rs, sc), spec)
+            tensor = assemble_tensor(sc, mb, spec)
+            reports = [check_oracle_equivalence(rs, sc, spec), check_torsion(tensor, sc),
+                       check_metric_compat(tensor, gram), check_lemma2(rs)]
+            print(built(family, rank), all(r.passed for r in reports))
+        for family, rank in (("B", 3), ("C", 3), ("D", 4), ("A", 3)):
+            with contextlib.redirect_stdout(io.StringIO()):  # the job prints its reports
+                code = run_job(JobConfig(family=family, rank=rank, checks="all",
+                                         output_path=f"{family}{rank}.json"))
+            print(built(family, rank), code == 0)
+    """
+    assert _python(code, cwd=tmp_path).split() == [
+        "A4:False:False", "True", "B3:False:False", "True", "C3:False:False", "True",
+        "D4:False:False", "True", "B3:False:False", "True", "C3:False:False", "True",
+        "D4:False:False", "True", "A3:False:True", "True"]
+
+
+def test_a_cold_a30_build_keeps_its_key_search_small():
+    # the |R|^2 key search runs one fixed block of rows at a time; searched at once,
+    # its temporaries made a 27.9 MiB peak at A30 (1.7 MiB of the result is held)
+    rootsys._root_system.__wrapped__("A", 30)  # warm-up: the lazily created numpy objects
+    tracemalloc.start()
+    try:
+        rootsys._root_system.__wrapped__("A", 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def _with_one_norm_changed(rs, root):
     norm_table = {**rs.norm_table, root: rs.norm_table[root] + 1}
     return dataclasses.replace(rs, norm_table=MappingProxyType(norm_table))
@@ -215,8 +303,6 @@ def test_an_inexact_division_raises(family, rank, root):
 
 def test_an_inexact_division_raises_under_python_o():
     # python -O strips assert statements; the exact divisions must still refuse a remainder
-    src = str(Path(flagconn.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import dataclasses, types, flagconn\n"
             "rs = flagconn.build_root_system('A', 2)\n"
             "norms = types.MappingProxyType({**rs.norm_table, (1, 1): 3})\n"
@@ -224,6 +310,5 @@ def test_an_inexact_division_raises_under_python_o():
             "    flagconn.chevalley_constants(dataclasses.replace(rs, norm_table=norms))\n"
             "except flagconn.DomainError as exc:\n"
             "    print('raised', exc)\n")
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = _python(code, "-O")
     assert out.startswith("raised") and "remainder" in out
