@@ -3,9 +3,13 @@
 Stages, each timed from cold caches: the root system (``build_root_system``), the
 structure constants (``chevalley_constants``), the Killing form (``killing_gram``, with
 the adjoint entries it reads) and the bracket entries (``build_m_basis`` and
-``m_bracket_entries``). One more cold build runs under ``tracemalloc``; it gives the
-traced peak of the root-system stage and of the whole build, and the memory the root
-system and the constants hold once built.
+``m_bracket_entries``). After each build, a warm-up metric (the normal one) runs the
+per-metric sequence once, so that the checks' per-system tables are built; then the
+per-metric stages are timed on a fresh log-uniform metric in [0.1, 10] drawn from a
+fixed seed: ``assemble_tensor``, ``build_metric`` and the three checks
+(``check_oracle_equivalence``, ``check_torsion``, ``check_metric_compat``). One more
+cold build runs under ``tracemalloc``; it gives the traced peak of the root-system stage
+and of the whole build, and the memory the root system and the constants hold once built.
 
     python3 scripts/build_ladder.py --label change --out BENCH_build.json
 
@@ -29,6 +33,7 @@ from time import perf_counter
 LADDER = ([("A", r) for r in range(2, 11)] + [(f, r) for f in "BC" for r in range(2, 7)]
           + [("D", r) for r in range(3, 7)] + [("A", 20), ("D", 24), ("A", 40)])
 STAGES = ("root_system", "constants", "killing", "bracket_entries")
+METRIC_STAGES = ("assemble", "gram", "oracle_check", "torsion_check", "metric_check")
 REPEAT = 7  # cold builds per system; the fastest of them is kept per stage
 MIB = 2.0 ** 20
 
@@ -63,9 +68,28 @@ def _build(flagconn, caches, family, rank, marks):
     return rs, sc
 
 
+def _one_metric(flagconn, rs, sc, spec, marks):
+    """The per-metric sequence on one metric; marks(stage) is called after each stage."""
+    mb, kf = flagconn.build_m_basis(rs), flagconn.killing_gram(rs, sc)
+    marks(None)
+    tensor = flagconn.assemble_tensor(sc, mb, spec)
+    marks("assemble")
+    gram = flagconn.build_metric(rs, kf, spec)
+    marks("gram")
+    flagconn.check_oracle_equivalence(rs, sc, spec)
+    marks("oracle_check")
+    flagconn.check_torsion(tensor, sc)
+    marks("torsion_check")
+    flagconn.check_metric_compat(tensor, gram)
+    marks("metric_check")
+
+
 def measure(flagconn, family: str, rank: int) -> dict:
+    import numpy as np
+
     caches = _caches(flagconn)
-    best = dict.fromkeys(STAGES, float("inf"))
+    best = dict.fromkeys(STAGES + METRIC_STAGES, float("inf"))
+    rng = np.random.default_rng(2022)
     for _ in range(REPEAT):
         last = []
 
@@ -75,7 +99,10 @@ def measure(flagconn, family: str, rank: int) -> dict:
                 best[stage] = min(best[stage], now - last[-1])
             last.append(perf_counter())
 
-        _build(flagconn, caches, family, rank, timed)
+        rs, sc = _build(flagconn, caches, family, rank, timed)
+        _one_metric(flagconn, rs, sc, flagconn.MetricSpec.normal(rs), lambda stage: None)
+        values = 10.0 ** rng.uniform(-1, 1, len(rs.positive_roots))
+        _one_metric(flagconn, rs, sc, flagconn.MetricSpec.from_values(rs, values), timed)
 
     peaks = {}
 
@@ -95,7 +122,9 @@ def measure(flagconn, family: str, rank: int) -> dict:
         tracemalloc.stop()
     return {
         **{f"{stage}_ms": round(best[stage] * 1e3, 4) for stage in STAGES},
-        "build_ms": round(sum(best.values()) * 1e3, 4),
+        "build_ms": round(sum(best[stage] for stage in STAGES) * 1e3, 4),
+        **{f"{stage}_us": round(best[stage] * 1e6, 2) for stage in METRIC_STAGES},
+        "metric_us": round(sum(best[stage] for stage in METRIC_STAGES) * 1e6, 2),
         "root_system_peak_mib": round(peaks["root_system"][1] / MIB, 3),
         "build_peak_mib": round(max(peak for _, peak in
                                     (peaks[s] for s in STAGES)) / MIB, 3),
@@ -124,7 +153,8 @@ def main(argv=None) -> int:
         doc = json.loads(path.read_text()) if path.exists() else {}
         doc["about"] = {
             "command": f"python3 scripts/build_ladder.py --src SRC --label LABEL --out {path.name}",
-            "times": f"fastest of {REPEAT} cold builds per stage, in ms; build_ms is their sum",
+            "times": (f"fastest of {REPEAT} cold builds per build stage, in ms, and of {REPEAT}"
+                      " fresh metrics per metric stage, in us; build_ms and metric_us are sums"),
             "memory": "one more cold build under tracemalloc, MiB over the traced start",
         }
         doc["machine"] = {

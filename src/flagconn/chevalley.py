@@ -193,14 +193,15 @@ def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
             for r, c in x.roots.items():
                 roots[r] = roots.get(r, 0.0) - y.cartan[i] * c * rs.pairing(r, i)
 
+    n_coeff, all_roots, coroots = sc.n_coeff, rs.all_roots, sc.coroot_table  # read once
     for r1, c1 in x.roots.items():
         for r2, c2 in y.roots.items():
             s = add_roots(r1, r2)
-            if s in rs.all_roots:
-                roots[s] = roots.get(s, 0.0) + c1 * c2 * sc.n_coeff[(r1, r2)]
+            if s in all_roots:
+                roots[s] = roots.get(s, 0.0) + c1 * c2 * n_coeff[(r1, r2)]
             elif not any(s):
                 coeff = c1 * c2
-                for i, h in enumerate(sc.coroot_table[r1]):
+                for i, h in enumerate(coroots[r1]):
                     cartan[i] += coeff * h
     return LieElement(rs.rank, cartan, roots)
 
@@ -417,7 +418,10 @@ def _contract(mb: MBasis, i, j, k, weights, x, y) -> np.ndarray:
     """weights * x_i * y_j summed into coordinate k over the entries, x and y checked first;
     float also with no entries (A1), where bincount counts in integers."""
     x, y = _coords(mb, x), _coords(mb, y)
-    return np.bincount(k, weights=weights * x[i] * y[j], minlength=mb.dim).astype(float, copy=False)
+    w = x[i]  # weights * x_i * y_j, in that order of products, with no temporary
+    w *= weights
+    w *= y[j]
+    return np.bincount(k, weights=w, minlength=mb.dim).astype(float, copy=False)
 
 
 def m_bracket_table(sc: StructureConstants, mb: MBasis) -> np.ndarray:

@@ -13,11 +13,11 @@ formula therefore weights the table entry by entry:
 
     U(e_i, e_j)_k = (c_|i| - c_|j|) / (2 c_|k|) * (-T[i, j, k]),
 
-where |i| is the positive root whose block holds e_i. Per system, on the sorted
-bracket keys, it caches |i|, |j|, |k|, -T and T / 2 (_closed_form_table); per
-metric, it computes only the entries of U and gamma = T / 2 + U from the checked
-coefficients (metric._checked). A point query sums them against x_i y_j
-(chevalley._contract), and assemble_tensor holds them in a ConnectionTensor,
+where |i| is the positive root whose block holds e_i. Per system it caches the bracket
+keys i, j, k (m_bracket_entries' own arrays), |i|, |j|, |k|, -T and T / 2 (_closed_form_table);
+per metric, one lookup on the spec's values (_entries) finds U and gamma = T / 2 + U, computed
+on a new metric from the checked coefficients (metric._checked). A point query sums them
+against x_i y_j (chevalley._contract), and assemble_tensor holds them in a ConnectionTensor,
 dense only when its gamma is read. The oracle module checks the u weights entry
 by entry against the defining linear condition of U and shares only the bracket
 entries and their contraction with this module.
@@ -151,29 +151,31 @@ def z_term(
 
 @functools.lru_cache(maxsize=None)
 def _closed_form_table(sc: StructureConstants, mb: MBasis):
-    """Per system: the blocks (|i|, |j|, |k|) of each bracket key (i, j, k), -T and T / 2."""
+    """Per system: the bracket keys i, j, k, their blocks (|i|, |j|, |k|), -T and T / 2."""
     i, j, k, t = m_bracket_entries(sc, mb)
     table = np.stack((i, j, k)) // 2, -t, 0.5 * t
     for a in table:
         a.flags.writeable = False  # shared through the cache
-    return table
+    return i, j, k, *table
 
 
 @functools.lru_cache(maxsize=1, typed=True)  # typed: 3 + 0j must miss a cached 3.0
 def _gamma_entries(sc: StructureConstants, mb: MBasis, *values):
     """(i, j, k, u = U(e_i, e_j)_k, gamma = T[i, j, k] / 2 + u) on the m-bracket entries."""
-    (i, j, k, _), (blocks, minus_t, half_t) = m_bracket_entries(sc, mb), _closed_form_table(sc, mb)
+    i, j, k, blocks, minus_t, half_t = _closed_form_table(sc, mb)
     c_i, c_j, c_k = _checked(sc.rs, *values)[blocks]
-    # U(e_i, e_j) = (c_i - c_j) / (2 c_k) [e_j, e_i]_m, and [e_j, e_i]_m = -T[i, j];
-    # the difference comes first so that equal coefficients give exactly zero
-    u = (c_i - c_j) / (2.0 * c_k) * minus_t
+    # U(e_i, e_j) = (c_i - c_j) / (2 c_k) [e_j, e_i]_m, and [e_j, e_i]_m = -T[i, j]; the
+    # difference first gives equal coefficients exactly zero, and c_k + c_k is 2 c_k exactly
+    u = c_i - c_j
+    u /= c_k + c_k
+    u *= minus_t
     gamma = half_t + u
     u.flags.writeable = gamma.flags.writeable = False  # shared through the cache
     return i, j, k, u, gamma
 
 
 def _entries(sc: StructureConstants, mb: MBasis, spec: MetricSpec):
-    return _per_metric(_gamma_entries, sc.rs, spec, sc, mb)
+    return _per_metric(_gamma_entries, sc.rs, spec._values(sc.rs), sc, mb)
 
 
 def u_bilinear(

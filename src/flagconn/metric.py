@@ -3,9 +3,9 @@
 The metric is a positive weight c_a on each 2-dimensional block m^a against
 the negative of the Killing form. Because the blocks are mutually
 non-equivalent isotropy modules, every invariant metric is of this diagonal
-form; no generality is lost. The Killing block norms 2 B(E_a, E_-a) are
-cached per system (_block_norms); per metric, the coefficients are checked once
-into one read-only array (_checked) that the Gram and the closed form share.
+form; no generality is lost. Per system, the block norms 2 B(E_a, E_-a) are cached
+(_block_norms). A public call reads a spec's values once per table it looks up in a typed
+one-slot memo (_per_metric); they are checked once, into one read-only array (_checked).
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ def _coefficients(rs: RootSystem, values: tuple) -> np.ndarray:
         f"metric coefficient for root {alpha} must be positive and finite, got {v!r}")
 
 
-def _per_metric(memo, rs: RootSystem, spec: MetricSpec, *system):
-    """``memo(*system, *values)`` on the coefficient values of ``spec``, through its one-slot
-    cache; values that fail as its key raise the coefficient check's error, else this one."""
-    values = spec._values(rs)
+def _per_metric(memo, rs: RootSystem, values: tuple, *system):
+    """``memo(*system, *values)``; values that fail as its key raise the coefficient check's
+    error, else this one."""
     try:
         return memo(*system, *values)
     except TypeError:  # an unhashable value
@@ -73,8 +72,7 @@ class MetricSpec:
         values = values.tolist() if isinstance(values, np.ndarray) else list(values)
         if len(values) != len(rs.positive_roots):
             raise ConfigurationError(
-                f"expected {len(rs.positive_roots)} coefficients, got {len(values)}"
-            )
+                f"expected {len(rs.positive_roots)} coefficients, got {len(values)}")
         return cls(dict(zip(rs.positive_roots, values)))
 
     def c(self, alpha: Coords) -> float:
@@ -108,7 +106,7 @@ def _block_norms(rs: RootSystem, killing: KillingForm) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1, typed=True)  # keyed like connection._gamma_entries
 def _gram(rs: RootSystem, killing: KillingForm, *values) -> MetricGram:
-    diagonal = np.repeat(_checked(rs, *values) * _block_norms(rs, killing), 2)
+    diagonal = (_checked(rs, *values) * _block_norms(rs, killing)).repeat(2)
     diagonal.flags.writeable = False  # shared through the cache
     return MetricGram(mbasis=build_m_basis(rs), diagonal=diagonal)
 
@@ -116,7 +114,7 @@ def _gram(rs: RootSystem, killing: KillingForm, *values) -> MetricGram:
 def build_metric(rs: RootSystem, killing: KillingForm, spec: MetricSpec) -> MetricGram:
     """Gram matrix with entry c_a * (-B)(e, e) at each basis slot of m^a; the last is memoized."""
     _one_system("root system and the Killing form", rs, killing.rs)
-    return _per_metric(_gram, rs, spec, rs, killing)
+    return _per_metric(_gram, rs, spec._values(rs), rs, killing)
 
 
 def inner(gram: MetricGram, x: np.ndarray, y: np.ndarray) -> float:

@@ -10,8 +10,8 @@ contraction against x_i y_j with the closed form, never its weights, so
 agreement between the two is a genuine check of the closed form. Both vanish
 off the bracket keys, so they are compared entry by entry on those keys, and
 so are the torsion and metric residuals of a tensor, without a dense array.
-Per system it caches where each key's permutations sit (_transposed) and T
-there (_oracle_table); per metric it reads only the Gram diagonal.
+Per system, from a check's first call, it caches where each key's permutations sit
+(_transposed) and T / 2 there (_oracle_table); per metric it reads only the Gram diagonal.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .chevalley import (MBasis, StructureConstants, _contract, chevalley_constants, killing_gram,
                         m_bracket_entries)
 from .connection import ConnectionTensor, _entries
-from .metric import MetricGram, MetricSpec, build_metric
+from .metric import MetricGram, MetricSpec, _gram, _per_metric
 from .rootsys import RootSystem, _one_system, negate
 
 DEFAULT_TOLERANCE = 1e-9
@@ -41,33 +41,21 @@ class CheckReport:
     witness: tuple | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "max_residual": self.max_residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
-
-
-def _report(name: str, residual: float, threshold: float, witness) -> CheckReport:
-    return CheckReport(
-        check_name=name,
-        max_residual=float(residual),
-        threshold=float(threshold),
-        passed=bool(residual <= threshold),
-        witness=witness,
-    )
+        """The fields in their order, the witness as a list."""
+        return dict(vars(self), witness=list(self.witness) if self.witness is not None else None)
 
 
 def _residual_report(name: str, residual: np.ndarray, threshold: float, keys=None) -> CheckReport:
     """Largest residual; witness: the first maximum or NaN, by row-major position or
     by the entry ``keys`` (arrays of (i, j, k)), None at zero or with nothing to compare."""
-    worst = residual.item(flat := int(residual.argmax())) if residual.size else 0.0
-    if worst == 0:  # no witness to build
-        return _report(name, worst, threshold, None)
-    at = np.unravel_index(flat, residual.shape) if keys is None else [a.item(flat) for a in keys]
-    return _report(name, worst, threshold, tuple([int(v) for v in at]))
+    worst, witness = residual.item(n := int(residual.argmax())) if residual.size else 0.0, None
+    if worst != 0:
+        at = np.unravel_index(n, residual.shape) if keys is None else [a.item(n) for a in keys]
+        witness = tuple(map(int, at))
+    report = object.__new__(CheckReport)  # frozen: its fields stored at once, not by setattr
+    vars(report).update(check_name=name, max_residual=float(worst), threshold=float(threshold),
+                        passed=bool(worst <= threshold), witness=witness)
+    return report
 
 
 # the rows of _transposed: the entries (k, j, i), (k, i, j), (j, i, k), (i, k, j) of (i, j, k)
@@ -113,8 +101,8 @@ def _on_keys(tensor: ConnectionTensor, sc: StructureConstants, row: int):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_table(sc: StructureConstants, mb: MBasis) -> np.ndarray:
-    """Per system: rows T[k, j, i] and T[k, i, j] at each bracket key (i, j, k)."""
-    table = m_bracket_entries(sc, mb)[3][_transposed(sc, mb)[:2]]
+    """Per system: rows T[k, j, i] / 2 and T[k, i, j] / 2 at each bracket key (i, j, k)."""
+    table = 0.5 * m_bracket_entries(sc, mb)[3][_transposed(sc, mb)[:2]]
     table.flags.writeable = False  # shared through the cache
     return table
 
@@ -123,12 +111,17 @@ def _oracle_entries(sc: StructureConstants, gram: MetricGram) -> np.ndarray:
     """U(e_i, e_j)_k solved from the defining condition, on each bracket entry (i, j, k).
 
     Coordinate k of U(e_i, e_j) is (g(e_i, [e_k, e_j]_m) + g([e_k, e_i]_m, e_j))
-    / (2 d_k), that is (T[k, j, i] d_i + T[k, i, j] d_j) / (2 d_k). It reads
+    / (2 d_k), that is (T[k, j, i] / 2 d_i + T[k, i, j] / 2 d_j) / d_k. It reads
     only T and the Gram diagonal d, and vanishes off the bracket keys.
     """
     (i, j, k, _), d = m_bracket_entries(sc, gram.mbasis), gram.diagonal
-    t_kji, t_kij = _oracle_table(sc, gram.mbasis)
-    return (t_kji * d[i] + t_kij * d[j]) / (2.0 * d[k])
+    h_kji, h_kij = _oracle_table(sc, gram.mbasis)
+    u, d_j = d[i], d[j]  # the products and the quotient in place, in the order above
+    u *= h_kji
+    d_j *= h_kij
+    u += d_j
+    u /= d[k]
+    return u
 
 
 def u_oracle(
@@ -152,10 +145,10 @@ def check_oracle_equivalence(
 ) -> CheckReport:
     """Compare the closed-form U with the oracle entry by entry on the bracket keys,
     off which both vanish; a witness is the (i, j, k) of an entry."""
-    gram = build_metric(rs, killing_gram(rs, sc), spec)
+    gram = _per_metric(_gram, rs, spec._values(rs), rs, killing_gram(rs, sc))
     i, j, k, u, _ = _entries(sc, gram.mbasis, spec)
-    res = np.abs(u - _oracle_entries(sc, gram))
-    return _residual_report("oracle-equivalence", res, tolerance, (i, j, k))
+    res = u - _oracle_entries(sc, gram)
+    return _residual_report("oracle-equivalence", np.abs(res, out=res), tolerance, (i, j, k))
 
 
 def check_torsion(
@@ -205,4 +198,4 @@ def check_lemma2(rs: RootSystem) -> CheckReport:
     dev = np.where((a == b) | (rank[0, a] == rank[1, b]), 0, np.abs(count - 1))
     x, y = np.unravel_index(dev.argmax(), dev.shape)  # the first worst pair
     witness = (roots[x], roots[y]) if dev[x, y] else None
-    return _report("lemma2-uniqueness", dev[x, y], 0.0, witness)
+    return CheckReport("lemma2-uniqueness", float(dev[x, y]), 0.0, not dev[x, y], witness)

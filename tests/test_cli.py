@@ -446,6 +446,34 @@ def test_clearing_the_discovered_caches_makes_set_up_cold():
     assert not any(a is b for a, b in zip(before, build()))
 
 
+@pytest.mark.parametrize("family,rank", [("C", 3), ("A", 6)])
+def test_library_set_up_builds_no_check_table(family, rank):
+    """The library set-up (the build stages, the dense bracket table and a first u_bilinear
+    and nabla) builds no table that only a check reads; the closed form's per-system table
+    holds the bracket keys themselves and what the entries give with no search."""
+    for cache in _flagconn_caches():
+        cache.cache_clear()
+    rs = build_root_system(family, rank)
+    sc = chevalley_constants(rs)
+    killing_gram(rs, sc)
+    mb = build_m_basis(rs)
+    flagconn.m_bracket_table(sc, mb)
+    spec, x = MetricSpec.normal(rs), mb.basis_vector(0)
+    flagconn.u_bilinear(sc, mb, spec, x, x)
+    flagconn.nabla(sc, mb, spec, x, x)
+    oracle_tables = {value for value in vars(flagconn.oracle).values()
+                     if getattr(value, "__module__", None) == "flagconn.oracle"
+                     and callable(getattr(value, "cache_clear", None))}
+    assert {flagconn.oracle._transposed, flagconn.oracle._oracle_table} <= oracle_tables
+    assert [fn.__name__ for fn in oracle_tables if fn.cache_info().currsize] == []
+    i, j, k, t = flagconn.chevalley.m_bracket_entries(sc, mb)
+    *keys, blocks, minus_t, half_t = flagconn.connection._closed_form_table(sc, mb)
+    assert [a is b for a, b in zip(keys, (i, j, k))] == [True] * 3
+    for got, want in ((blocks, np.stack((i, j, k)) // 2), (minus_t, -t), (half_t, 0.5 * t)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_importing_the_cli_builds_no_table():
     src = str(Path(flagconn.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -414,6 +414,30 @@ def test_fused_nabla_matches_half_bracket_plus_u(family, rank):
             assert np.abs(got - expected).max() <= 1e-12 * scale, (kind, family, rank)
 
 
+@pytest.mark.parametrize("family,rank", RANK_LE_4 + [("A", 6)])
+def test_point_queries_equal_the_weighted_bincount_bit_for_bit(family, rank):
+    """nabla and u_bilinear are bincount(k, weights=w * x_i * y_j) over the entries, w the
+    gamma or u entries, byte for byte: dense vectors and vectors on one or two root blocks."""
+    pl = pipeline(family, rank)
+    spec = random_metric(pl.rs, 149)
+    i, j, k, u, gamma = flagconn.connection._entries(pl.sc, pl.mb, spec)
+    rng, blocks = np.random.default_rng(151), pl.mb.dim // 2
+    pairs = [(random_mvector(pl.mb.dim, rng), random_mvector(pl.mb.dim, rng)) for _ in range(2)]
+    for count in (1, 2):
+        x, y = np.zeros(pl.mb.dim), np.zeros(pl.mb.dim)
+        for v in (x, y):
+            for p in rng.choice(blocks, size=min(count, blocks), replace=False):
+                v[2 * p:2 * p + 2] = rng.normal(size=2)
+        pairs.append((x, y))
+    for x, y in pairs:
+        for query, w in ((nabla, gamma), (u_bilinear, u)):
+            got = query(pl.sc, pl.mb, spec, x, y)
+            want = np.bincount(k, weights=w * x[i] * y[j], minlength=pl.mb.dim).astype(float)
+            assert got.dtype == float and got.tobytes() == want.tobytes(), query.__name__
+            if family == "A" and rank == 1:
+                assert not got.any()
+
+
 def test_assemble_tensor_memory_stays_below_one_and_a_half_dense_arrays():
     pl = pipeline("A", 10)
     flagconn.connection.m_bracket_entries(pl.sc, pl.mb)  # per-system, metric-independent

@@ -212,6 +212,54 @@ def test_report_invariant_passed_iff_within_threshold(a2):
     assert set(d) == {"check_name", "max_residual", "threshold", "passed", "witness"}
 
 
+def _reports_of_each_kind(monkeypatch):
+    """Each check's report passing, failing on one perturbed entry, with a NaN residual
+    and with an empty residual (A1 has no bracket entries)."""
+    a1, a3 = pipeline("A", 1), pipeline("A", 3)
+    spec = random_metric(a3.rs, 157)
+    tensor, gram = assemble_tensor(a3.sc, a3.mb, spec), build_metric(a3.rs, a3.killing, spec)
+    at = tuple(int(a[5]) for a in flagconn.chevalley.m_bracket_entries(a3.sc, a3.mb)[:3])
+    reports = []
+    for value in (0.0, 1e-3, np.nan):
+        bad = dataclasses.replace(tensor, gamma=tensor.gamma.copy())
+        bad.gamma[at] += value
+        closed_form = flagconn.oracle._entries
+
+        def entries(*args, value=value):
+            *keys, u, g = closed_form(*args)
+            u = u.copy()
+            u[5] += value
+            return *keys, u, g
+
+        monkeypatch.setattr(flagconn.oracle, "_entries", entries)
+        reports += [check_oracle_equivalence(a3.rs, a3.sc, spec), check_torsion(bad, a3.sc),
+                    check_metric_compat(bad, gram)]
+        monkeypatch.undo()
+    spec = MetricSpec.normal(a1.rs)
+    tensor = assemble_tensor(a1.sc, a1.mb, spec)
+    reports += [check_oracle_equivalence(a1.rs, a1.sc, spec), check_torsion(tensor, a1.sc),
+                check_metric_compat(tensor, build_metric(a1.rs, a1.killing, spec))]
+    return reports
+
+
+def test_reports_are_the_dataclass_built_from_their_fields(monkeypatch):
+    """Every report of the three checks is frozen and hashable, and equals, under ==, hash,
+    repr and to_dict, the CheckReport that the dataclass __init__ builds from its fields."""
+    reports = _reports_of_each_kind(monkeypatch)
+    passed = [r.passed for r in reports]
+    assert passed == [True] * 3 + [False] * 6 + [True] * 3
+    assert [r.witness is None for r in reports[-3:]] == [True] * 3  # nothing to compare
+    assert all(np.isnan(r.max_residual) for r in reports[6:9])
+    for report in reports:
+        fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(CheckReport)}
+        built = CheckReport(**fields)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.passed = not report.passed
+        assert report == built and hash(report) == hash(built)
+        assert repr(report) == repr(built) and report.to_dict() == built.to_dict()
+        assert vars(report) == vars(built)
+
+
 @pytest.mark.parametrize("family,rank", RANK_LE_4)
 def test_u_oracle_is_exactly_zero_at_the_normal_metric(family, rank):
     pl = pipeline(family, rank)
