@@ -1,27 +1,34 @@
 """Cold-build stage ladder: the fastest of REPEAT cold builds per stage, on a fixed list of systems.
 
 Stages, each timed from cold caches: the root system (``build_root_system``), the
-structure constants (``chevalley_constants``), the Killing form (``killing_gram``, with
-the adjoint entries it reads) and the bracket entries (``build_m_basis`` and
-``m_bracket_entries``). After each build, a warm-up metric (the normal one) runs the
-per-metric sequence once, so that the checks' per-system tables are built; then the
-per-metric stages are timed on a fresh log-uniform metric in [0.1, 10] drawn from a
-fixed seed: ``assemble_tensor``, ``build_metric`` and the three checks
-(``check_oracle_equivalence``, ``check_torsion``, ``check_metric_compat``). One more
-cold build runs under ``tracemalloc``; it gives the traced peak of the root-system stage
-and of the whole build, and the memory the root system and the constants hold once built.
+structure constants (``chevalley_constants``), the Killing form (``killing_gram``) and
+the bracket entries (``build_m_basis`` and ``m_bracket_entries``). After each build, a
+warm-up metric (the normal one) runs the per-metric sequence once, so that the checks'
+per-system tables are built; then the per-metric stages are timed on a fresh log-uniform
+metric in [0.1, 10] drawn from a fixed seed: ``assemble_tensor``, ``build_metric`` and
+the three checks (``check_oracle_equivalence``, ``check_torsion``,
+``check_metric_compat``). One more cold build runs under ``tracemalloc``; it gives the
+traced peak of the root-system stage and of the whole build, and the memory the root
+system and the constants hold once built.
 
     python3 scripts/build_ladder.py --label change --out BENCH_build.json
+    python3 scripts/build_ladder.py --src ../parent/src --label parent \
+        --src src --label change --out BENCH_build.json
 
 ``--src`` points at the ``src`` directory to import ``flagconn`` from (default: the one
-of this checkout), so one copy of the script measures two trees alike. ``--label`` names
-the run in the output file; a run under another label already in the file is kept.
+of this checkout), so one copy of the script measures two trees alike. Given twice, it
+loads both trees in one process and alternates them system by system, the first tree
+first on the even rows of the ladder, so that a slow phase of the host hits both.
+``--label`` names each run in the output file, one per ``--src`` in the same order; a
+run under another label already in the file is kept.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -38,12 +45,21 @@ REPEAT = 7  # cold builds per system; the fastest of them is kept per stage
 MIB = 2.0 ** 20
 
 
+def _load(src: str, name: str):
+    """The flagconn package of a src directory, imported under the given module name."""
+    init = Path(src) / "flagconn" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package
+
+
 def _caches(flagconn) -> list:
     """Every memoized function of the package."""
-    import importlib
     import pkgutil
 
-    mods = [importlib.import_module(f"flagconn.{m.name}")
+    mods = [importlib.import_module(f"{flagconn.__name__}.{m.name}")
             for m in pkgutil.iter_modules(flagconn.__path__)]
     found = {id(v): v for mod in mods for v in vars(mod).values()
              if callable(getattr(v, "cache_clear", None))}
@@ -52,8 +68,6 @@ def _caches(flagconn) -> list:
 
 def _build(flagconn, caches, family, rank, marks):
     """One cold build; marks(stage) is called after each stage."""
-    from flagconn.chevalley import m_bracket_entries
-
     for cache in caches:
         cache.cache_clear()
     marks(None)
@@ -63,7 +77,7 @@ def _build(flagconn, caches, family, rank, marks):
     marks("constants")
     flagconn.killing_gram(rs, sc)
     marks("killing")
-    m_bracket_entries(sc, flagconn.build_m_basis(rs))
+    flagconn.chevalley.m_bracket_entries(sc, flagconn.build_m_basis(rs))
     marks("bracket_entries")
     return rs, sc
 
@@ -120,6 +134,8 @@ def measure(flagconn, family: str, rank: int) -> dict:
         _build(flagconn, caches, family, rank, traced)
     finally:
         tracemalloc.stop()
+    for cache in caches:  # hold no tables while another tree is measured
+        cache.cache_clear()
     return {
         **{f"{stage}_ms": round(best[stage] * 1e3, 4) for stage in STAGES},
         "build_ms": round(sum(best[stage] for stage in STAGES) * 1e3, 4),
@@ -135,33 +151,39 @@ def measure(flagconn, family: str, rank: int) -> dict:
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parents[1]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(here / "src"))
-    parser.add_argument("--label", default="change")
-    parser.add_argument("--out", default=None, help="JSON file to merge the run into")
+    parser.add_argument("--src", action="append", help="src directory; at most twice")
+    parser.add_argument("--label", action="append", help="run name, one per --src")
+    parser.add_argument("--out", default=None, help="JSON file to merge the runs into")
     args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
+    srcs, labels = args.src or [str(here / "src")], args.label or ["change"]
+    if len(srcs) > 2 or len(labels) != len(srcs):
+        parser.error("give --src at most twice and one --label per --src")
     import numpy as np
 
-    import flagconn
-
-    run = {}
-    for family, rank in LADDER:
-        run[f"{family}{rank}"] = row = measure(flagconn, family, rank)
-        print(f"{family}{rank:<3} " + " ".join(f"{k} {v}" for k, v in row.items()), flush=True)
+    trees = [_load(src, "flagconn" if k == 0 else f"flagconn{k}") for k, src in enumerate(srcs)]
+    runs = {label: {} for label in labels}
+    for row_number, (family, rank) in enumerate(LADDER):
+        order = list(zip(labels, trees))
+        for label, flagconn in order if row_number % 2 == 0 else order[::-1]:
+            runs[label][f"{family}{rank}"] = row = measure(flagconn, family, rank)
+            print(f"{label} {family}{rank:<3} " + " ".join(f"{k} {v}" for k, v in row.items()),
+                  flush=True)
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {}
         doc["about"] = {
-            "command": f"python3 scripts/build_ladder.py --src SRC --label LABEL --out {path.name}",
+            "command": ("python3 scripts/build_ladder.py --src SRC --label LABEL"
+                        f" [--src SRC --label LABEL] --out {path.name}"),
             "times": (f"fastest of {REPEAT} cold builds per build stage, in ms, and of {REPEAT}"
                       " fresh metrics per metric stage, in us; build_ms and metric_us are sums"),
             "memory": "one more cold build under tracemalloc, MiB over the traced start",
+            "order": "with --src twice, both trees run in one process, alternated by system",
         }
         doc["machine"] = {
             "python": platform.python_version(), "numpy": np.__version__,
             "nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
         }
-        doc.setdefault("runs", {})[args.label] = run
+        doc.setdefault("runs", {}).update(runs)
         path.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -3,9 +3,9 @@
 Structure constants are exact integers with |N(a, b)| = p + 1 (p the down
 string length), signs fixed by making N positive on extraspecial pairs with
 respect to the lexicographic order. They are computed on the rows of the
-system's root-triple table, which feed the m-bracket entries and one cached
-adjoint table; that feeds the su(n+1) check and the Killing form, whose
-traces double as a self-check. Real tangent vectors live in the span of
+system's root-triple table, which feed the m-bracket entries, the traces of
+the Killing form and the adjoint table of the su(n+1) check. Real tangent
+vectors live in the span of
 
     U_a = E_a - E_{-a},    V_a = i (E_a + E_{-a}),    a positive,
 
@@ -27,7 +27,6 @@ from .rootsys import (
     RootSystem,
     _check_roots,
     _drop_unset,
-    _join,
     _Mirror,
     _one_system,
     _pair_keys,
@@ -244,19 +243,26 @@ class KillingForm:
         return out
 
 
+def _basis(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.ndarray, np.ndarray]:
+    """Full-basis labels in KillingForm order, their index, and per root a of rs.roots
+    act[a] = <a, alpha_h^vee> ([H_h, E_a] = act E_a) and the coroot H_a = [E_a, E_{-a}]."""
+    _one_system("root system and the structure constants", rs, sc.rs)
+    labels = tuple([("H", i) for i in range(rs.rank)] + [("E", r) for r in rs.roots])
+    act = np.array(rs.roots, dtype=np.int64) @ np.array(rs.pairing_matrix)
+    coroots = np.array([sc.coroot_table[r] for r in rs.roots], dtype=np.int64)
+    return labels, {lab: k for k, lab in enumerate(labels)}, act, coroots
+
+
 @functools.lru_cache(maxsize=None)
 def _adjoint(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.ndarray]:
     """Full-basis labels in KillingForm order, their index, and the nonzero entries
     of ad as one read-only int64 array of columns (x, out, in, value): ``value`` is
     the coefficient of ``out`` in [x, in]. Root-root brackets come first, one per row
-    of the root-triple table; then [H_i, E_a], [E_a, H_i] and [E_a, E_{-a}] = H_a."""
-    _one_system("root system and the structure constants", rs, sc.rs)
+    of the root-triple table; then [H_i, E_a], [E_a, H_i] and [E_a, E_{-a}] = H_a.
+    Only the su(n+1) cross-check reads it."""
+    labels, index, act, coroots = _basis(rs, sc)
     rank, npos = rs.rank, len(rs.positive_roots)
-    labels = [("H", i) for i in range(rank)] + [("E", r) for r in rs.roots]
-    index = {lab: k for k, lab in enumerate(labels)}
     a, b, s = rs.triples + rank  # H_i sits at index i, E of rs.roots[k] at rank + k
-    act = np.array(rs.roots, dtype=np.int64) @ np.array(rs.pairing_matrix)  # <a, alpha_i^vee>
-    coroots = np.array([sc.coroot_table[r] for r in rs.roots], dtype=np.int64)
     h, e = np.indices(act.shape)[::-1]
     e, minus = e + rank, (e + npos) % (2 * npos) + rank
     entries = np.concatenate([np.stack([a, s, b, sc.n_rows])] + [
@@ -264,19 +270,28 @@ def _adjoint(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.nd
         ((h, e, e, act), (e, e, h, -act), (e, h, minus, coroots))], axis=1)
     entries = entries[:, entries[3] != 0]
     entries.flags.writeable = False  # shared through the cache
-    return tuple(labels), index, entries
+    return labels, index, entries
 
 
 @functools.lru_cache(maxsize=None)
 def killing_gram(rs: RootSystem, sc: StructureConstants) -> KillingForm:
-    """Killing form B(b_x, b_y) = sum over (o, i) of ad[x, o, i] ad[y, i, o], exact
-    in integers: one sorted join meets each adjoint entry at slot (o, i) with the
-    entries at (i, o)."""
-    labels, index, (x, o, i, v) = _adjoint(rs, sc)
-    dim = len(labels)
-    left, right = _join(i * dim + o, o * dim + i)
-    gram = np.zeros((dim, dim), dtype=np.int64)
-    np.add.at(gram, (x[left], x[right]), v[left] * v[right])
+    """Killing form B(b_x, b_y) = sum over (o, i) of ad[x, o, i] ad[y, i, o], exact in
+    integers, on the slot pairs known by construction: ad H_h is diagonal on the E's, so
+    the H-H block is act.T @ act, and by weight B pairs E_a only with E_{-a}. B(E_a, E_{-a})
+    sums N(a, b) N(-a, a + b) over the triple rows (a, b, a + b), with N read off n_rows
+    on the row (-a, a + b, b) that one sorted join of the pair keys finds, and the slots
+    [E_a, H_h] against [E_{-a}, E_a] = H_{-a} and [E_a, E_{-a}] = H_a against [E_{-a}, H_h]."""
+    labels, index, act, coroots = _basis(rs, sc)
+    rank, nroots = rs.rank, len(rs.roots)
+    minus = (np.arange(nroots) + nroots // 2) % nroots  # -rs.roots[e] is rs.roots[minus[e]]
+    a, b, s = rs.triples
+    partner = np.empty_like(sc.n_rows)  # N on the row (-a, s, b) of each row (a, b, s)
+    partner[np.argsort(minus[a] * nroots + s)] = sc.n_rows[np.argsort(a * nroots + b)]
+    trace = -(act * coroots[minus] + coroots * act[minus]).sum(axis=1)
+    np.add.at(trace, a, sc.n_rows * partner)
+    gram = np.zeros((rank + nroots,) * 2, dtype=np.int64)
+    gram[:rank, :rank] = act.T @ act
+    gram[np.arange(rank, rank + nroots), minus + rank] = trace
     gram.flags.writeable = False  # shared through the cache
     return KillingForm(rs=rs, labels=labels, index=MappingProxyType(index), gram=gram)
 

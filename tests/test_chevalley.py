@@ -212,7 +212,7 @@ def test_killing_gram_memory_stays_below_one_dense_stack():
     _adjoint.cache_clear()
     tracemalloc.start()
     try:
-        killing_gram.__wrapped__(rs, sc)  # uncached: builds the adjoint entries afresh
+        killing_gram.__wrapped__(rs, sc)  # uncached: builds the gram afresh
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
