@@ -26,8 +26,7 @@ from .rootsys import (
     Coords,
     RootSystem,
     _check_roots,
-    _drop_unset,
-    _Mirror,
+    _exact,
     _one_system,
     _pair_keys,
     add_roots,
@@ -79,20 +78,23 @@ class LieElement:
 class StructureConstants:
     """Exact bracket data for a Chevalley basis of the given root system.
 
-    ``n_rows`` holds N(a, b) on each row of ``rs.triples``. The dict ``n_coeff`` maps
+    ``n_rows`` holds N(a, b) on each row of ``rs.triples``. The mirror ``n_coeff`` maps
     the root pairs of those rows, in their order, to the same constants; it is built
     on its first read, by ``n``, ``bracket`` and ``z_term`` (so by ``u_root_pair`` and
-    ``su_realization.build_alignment``), unless one is passed in.
+    ``su_realization.build_alignment``). The mirror ``coroot_table`` maps each root of
+    ``rs.roots`` to its row of ``rs.coroots``; it is built on its first read, by ``bracket``.
     """
 
     rs: RootSystem
-    coroot_table: MappingProxyType[Coords, tuple[int, ...]]  # alpha^vee over H_1..H_l
     n_rows: np.ndarray  # read-only int64 N(a, b) on each row (a, b, s) of rs.triples
-    n_coeff: MappingProxyType[tuple[Coords, Coords], int] = _Mirror(
-        lambda sc: dict(zip(_pair_keys(sc.rs), sc.n_rows.tolist())))
 
-    def __post_init__(self):
-        _drop_unset(self, "n_coeff")
+    @functools.cached_property
+    def n_coeff(self) -> MappingProxyType[tuple[Coords, Coords], int]:
+        return MappingProxyType(dict(zip(_pair_keys(self.rs), self.n_rows.tolist())))
+
+    @functools.cached_property
+    def coroot_table(self) -> MappingProxyType[Coords, tuple[int, ...]]:
+        return MappingProxyType(dict(zip(self.rs.roots, map(tuple, self.rs.coroots.tolist()))))
 
     def n(self, alpha: Coords, beta: Coords) -> int:
         """N(alpha, beta); defined exactly when alpha, beta, alpha+beta are roots."""
@@ -111,14 +113,6 @@ def root_string_p(rs: RootSystem, alpha: Coords, beta: Coords) -> int:
     return p
 
 
-def _exact(num, den):
-    """num // den for integers or integer arrays; a remainder raises DomainError."""
-    out, rem = divmod(num, den)
-    if rem.any() if isinstance(rem, np.ndarray) else rem:
-        raise DomainError("an exact division left a remainder: the norms are no root system's")
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def chevalley_constants(rs: RootSystem) -> StructureConstants:
     """Compute all N(alpha, beta) with the extraspecial-pair sign convention.
@@ -132,7 +126,7 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
     table, which the Jacobi step reads row by row and the fill of n_rows on
     every row at once; all arithmetic stays in exact integers.
     """
-    npos, norms = len(rs.positive_roots), [rs.norm_table[r] for r in rs.roots]
+    npos, norm, norms = len(rs.positive_roots), rs.norms, rs.norms.tolist()
     a, b, s = rs.triples
     special: dict[int, list[tuple[int, int]]] = {}
     for g, d, rho in rs.triples[:, (a < b) & (b < npos)].T.tolist():  # positive g < d
@@ -145,7 +139,7 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
     # pair (u, v), with mult = den where no rotation is needed
     a, b, s = np.where(flip := s >= npos, (rs.triples + npos) % (2 * npos), rs.triples)
     a, b = np.where(swap := a >= npos, b, a), np.where(swap, a, b)
-    mixed, norm = b >= npos, np.array(norms, dtype=np.int64)
+    mixed = b >= npos
     sign, den = np.where(flip ^ swap ^ mixed, -1, 1), norm[a]
     u, v, mult = np.where(mixed, [b % npos, s, norm[s]], [a, b, den])
     a, b, total = rs.triples.tolist()
@@ -171,9 +165,7 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
     # the same factors on every row at once
     n = _exact(sign * np.array(positive, dtype=np.int64)[u, v] * mult, den)
     n.flags.writeable = False  # shared through the cache
-    simple = np.array([rs.norm_table[r] for r in rs.simple_roots])
-    coroots = _exact(np.array(rs.roots, dtype=np.int64) * simple, norm[:, None]).tolist()
-    return StructureConstants(rs, MappingProxyType(dict(zip(rs.roots, map(tuple, coroots)))), n)
+    return StructureConstants(rs, n)
 
 
 def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
@@ -248,9 +240,8 @@ def _basis(rs: RootSystem, sc: StructureConstants) -> tuple[tuple, dict, np.ndar
     act[a] = <a, alpha_h^vee> ([H_h, E_a] = act E_a) and the coroot H_a = [E_a, E_{-a}]."""
     _one_system("root system and the structure constants", rs, sc.rs)
     labels = tuple([("H", i) for i in range(rs.rank)] + [("E", r) for r in rs.roots])
-    act = np.array(rs.roots, dtype=np.int64) @ np.array(rs.pairing_matrix)
-    coroots = np.array([sc.coroot_table[r] for r in rs.roots], dtype=np.int64)
-    return labels, {lab: k for k, lab in enumerate(labels)}, act, coroots
+    act = rs.coords @ np.array(rs.pairing_matrix)
+    return labels, {lab: k for k, lab in enumerate(labels)}, act, rs.coroots
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,11 +13,14 @@ wrapping arithmetic keeps the key of a sum the sum of the keys, a build in
 which two roots share a key is refused, and a key match counts only where the
 coordinates add up exactly.
 
-The tuple-keyed dict ``sum_table`` mirrors the triple table for the
-``LieElement`` API (``root_sum``, ``chevalley.bracket``, ``connection.z_term``).
-It is built on its first read, as is ``StructureConstants.n_coeff``; the
-array pipeline reads only the index arrays and never builds them, nor do the
-B, C and D CLI jobs (an A job reads N in its su(n+1) alignment).
+The per-root data is kept as read-only int64 arrays, one row per root of
+``roots``: the coordinates, the squared norms and the coroots. The tuple-keyed
+dicts ``sum_table`` and ``norm_table`` mirror the triple table and the norms
+for the ``LieElement`` API (``root_sum``, ``chevalley.bracket``,
+``connection.z_term``); each is a cached property, built on its first read, as
+are ``StructureConstants.n_coeff`` and ``coroot_table``. The array pipeline
+reads only the arrays and never builds a mirror, nor do the B, C and D CLI
+jobs (an A job reads N in its su(n+1) alignment).
 """
 
 from __future__ import annotations
@@ -49,53 +52,18 @@ def add_roots(a: Coords, b: Coords) -> Coords:
     return tuple(map(operator.add, a, b))
 
 
-class _Mirror:
-    """A read-only dict field built from the index arrays on its first read.
-
-    As the class default of a dataclass field it gives the default None, which the
-    owner's ``__post_init__`` drops from the instance (``_drop_unset``). The built mirror
-    is then stored on the instance, where later reads find it before this descriptor;
-    a value passed to ``__init__`` is stored there from the start. Such a read costs
-    about 2.5 times a read of another field (27 against 11 ns on CPython 3.11), since
-    the class attribute keeps CPython from specializing it. Both stores go through
-    ``object.__setattr__``, never through ``vars(obj)``: materializing the instance
-    ``__dict__`` would turn every attribute read of the instance into a dict lookup,
-    20 -> 35 ns.
-    """
-
-    def __init__(self, build) -> None:
-        self.build = build
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the dataclass default: unset until first read
-        mirror = MappingProxyType(self.build(obj))
-        object.__setattr__(obj, self.name, mirror)  # past a frozen dataclass's __setattr__
-        return mirror
-
-
-def _drop_unset(obj, name: str) -> None:
-    """Drop the None that __init__ stored for a mirror field, so that its first read builds it."""
-    if getattr(obj, name) is None:
-        object.__delattr__(obj, name)
+def _exact(num, den):
+    """num // den for integers or integer arrays; a remainder raises DomainError."""
+    out, rem = divmod(num, den)
+    if rem.any() if isinstance(rem, np.ndarray) else rem:
+        raise DomainError("an exact division left a remainder: the norms are no root system's")
+    return out
 
 
 def _pair_keys(rs: "RootSystem"):
     """The root pairs (roots[a], roots[b]) of the rows of rs.triples, in their order."""
     a, b = rs.triples[:2].tolist()
     return zip(map(rs.roots.__getitem__, a), map(rs.roots.__getitem__, b))
-
-
-def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (a, b) with left[a] == right[b], grouped by a: one sorted join."""
-    order = np.argsort(right)
-    ranked = right[order]
-    lo, hi = (np.searchsorted(ranked, left, side) for side in ("left", "right"))
-    a = np.repeat(np.arange(len(left)), hi - lo)
-    return a, order[np.arange(len(a)) + np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo)]
 
 
 def _cartan_pairing(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -131,11 +99,13 @@ class RootSystem:
     order; ``all_roots`` is the disjoint union with the negatives; ``triples``
     holds one row (a, b, s) of indices into ``roots`` (the positive roots, then
     their negatives) for each pair of roots whose sum is again a root, in the
-    order of a loop over ``all_roots`` twice. ``sum_table`` maps each such pair
-    (roots[a], roots[b]) to roots[s], in the order of the rows; it is built on
-    its first read, by the ``LieElement`` API (``root_sum``, ``bracket``,
-    ``z_term``), unless one is passed in. One object per (family, rank) is
-    shared, so its tables are read-only.
+    order of a loop over ``all_roots`` twice. ``coords``, ``norms`` and
+    ``coroots`` hold one row per root of ``roots``. The mirrors ``sum_table``
+    (each pair (roots[a], roots[b]) of a row to roots[s], in the order of the
+    rows) and ``norm_table`` (each root to its norm, in the order of ``roots``)
+    are built on their first read, by the ``LieElement`` API (``root_sum``,
+    ``bracket``, ``z_term``). One object per (family, rank) is shared, so its
+    tables are read-only.
     """
 
     family: str
@@ -145,13 +115,19 @@ class RootSystem:
     roots: tuple[Coords, ...]
     all_roots: frozenset[Coords]
     pairing_matrix: tuple[tuple[int, ...], ...]
-    norm_table: MappingProxyType[Coords, int]  # scaled squared length (root, root); exact integer
     triples: np.ndarray  # int64 rows (a, b, s)
-    sum_table: MappingProxyType[tuple[Coords, Coords], Coords] = _Mirror(
-        lambda rs: dict(zip(_pair_keys(rs), map(rs.roots.__getitem__, rs.triples[2].tolist()))))
+    coords: np.ndarray  # int64 coordinates of each root
+    norms: np.ndarray  # int64 scaled squared length (root, root); exact
+    coroots: np.ndarray  # int64 alpha^vee over H_1..H_l
 
-    def __post_init__(self):
-        _drop_unset(self, "sum_table")
+    @functools.cached_property
+    def sum_table(self) -> MappingProxyType[tuple[Coords, Coords], Coords]:
+        return MappingProxyType(
+            dict(zip(_pair_keys(self), map(self.roots.__getitem__, self.triples[2].tolist()))))
+
+    @functools.cached_property
+    def norm_table(self) -> MappingProxyType[Coords, int]:
+        return MappingProxyType(dict(zip(self.roots, self.norms.tolist())))
 
     def is_positive(self, v: Coords) -> bool:
         """Lexicographic positivity of a lattice vector."""
@@ -230,7 +206,8 @@ def _root_system(fam: str, rank: int) -> RootSystem:
     # key(a + b) exact, so with distinct root keys no sum is missed, and a key match counts
     # only where the coordinates add up (roots lie in [-2, 2], their sums in [-4, 4])
     roots = pos_sorted + tuple(negative.values())
-    coords = np.array(roots, dtype=np.int8)
+    coords = np.array(pos_sorted, dtype=np.int64)
+    coords = np.concatenate([coords, -coords])  # the negatives follow in the same order
     keys = coords.astype(np.uint64) @ _key_multipliers(rank)
     order = np.argsort(keys)
     ranked = keys[order]
@@ -246,15 +223,18 @@ def _root_system(fam: str, rank: int) -> RootSystem:
         k = left[start:start + step, None] + left
         at = np.minimum(np.searchsorted(ranked, k), len(keys) - 1)
         row, col = np.nonzero(ranked[at] == k)  # row-major: the order of a loop over all_roots
-        return np.stack([listed[row + start], listed[col], order[at[row, col]]])
+        return np.array([listed[row + start], listed[col], order[at[row, col]]])
 
     a, b, s = candidates = np.concatenate([find(at) for at in range(0, len(roots), step)], axis=1)
-    triples = candidates[:, (coords[a] + coords[b] == coords[s]).all(axis=1)]
-    triples.flags.writeable = False  # shared through the cache
+    small = coords.astype(np.int8)  # the per-candidate temporaries stay one byte a coordinate
+    triples = candidates[:, (small[a] + small[b] == small[s]).all(axis=1)]
 
-    norms = _simple_norms(fam, rank)
-    gram = np.array([[pairing[i][j] * norms[j] // 2 for j in range(rank)] for i in range(rank)])
-    norm_table = dict(zip(all_roots, ((coords @ gram) * coords).sum(axis=1)[listed].tolist()))
+    # |a|^2 sums a_i a_j (alpha_i, alpha_j), with 2 (alpha_i, alpha_j) = P[i][j] |alpha_j|^2
+    scaled = coords * np.array(_simple_norms(fam, rank))
+    norms = ((coords @ pairing) * scaled).sum(axis=1) // 2
+    coroots = _exact(scaled, norms[:, None])
+    for array in (triples, coords, norms, coroots):
+        array.flags.writeable = False  # shared through the cache
 
     return RootSystem(
         family=fam,
@@ -264,8 +244,10 @@ def _root_system(fam: str, rank: int) -> RootSystem:
         roots=roots,
         all_roots=all_roots,
         pairing_matrix=pairing,
-        norm_table=MappingProxyType(norm_table),
         triples=triples,
+        coords=coords,
+        norms=norms,
+        coroots=coroots,
     )
 
 

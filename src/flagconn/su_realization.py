@@ -48,7 +48,7 @@ from .connection import _entries
 from .errors import ConfigurationError, DimensionError, DomainError
 from .metric import MetricSpec
 from .oracle import CheckReport, DEFAULT_TOLERANCE, _residual_report
-from .rootsys import Coords, RootSystem, _check_roots, _join, build_root_system
+from .rootsys import Coords, RootSystem, _check_roots, build_root_system
 
 
 class EpsRoot(NamedTuple):
@@ -281,6 +281,15 @@ def u_su3(c1: float, c2: float, c3: float, x: np.ndarray, y: np.ndarray) -> np.n
     acc = acc + w2 * (comm(x1, y3) + comm(y1, x3))
     acc = acc + w3 * (comm(x1, y2) + comm(y1, x2))
     return su_to_coords(2, acc)
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (a, b) with left[a] == right[b], grouped by a: one sorted join."""
+    order = np.argsort(right)
+    ranked = right[order]
+    lo, hi = (np.searchsorted(ranked, left, side) for side in ("left", "right"))
+    a = np.repeat(np.arange(len(left)), hi - lo)
+    return a, order[np.arange(len(a)) + np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo)]
 
 
 def _products(b, p, q, value) -> tuple[np.ndarray, ...]:

@@ -372,7 +372,7 @@ def test_shared_per_system_tables_are_read_only():
                        (al.signs, rs.positive_roots[0])):
         with pytest.raises(TypeError):
             table[key] = 0
-    for array in (kf.gram, al.coord_signs):
+    for array in (kf.gram, al.coord_signs, rs.coords, rs.norms, rs.coroots):
         with pytest.raises(ValueError):
             array[0] = 0
     assert not hasattr(al, "sc")

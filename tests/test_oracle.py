@@ -339,7 +339,7 @@ def test_the_oracle_and_u_sun_share_no_formula_with_the_closed_form():
     su = flagconn.su_realization
     for fn in (su.u_sun, su._validated_coeffs, su.su3_coefficients, su.u_su3, su._positive_real,
                su._weights, su._products, su._net, su.SuAlignment._images.func,
-               flagconn.rootsys._join):
+               su._join):
         assert not _names(fn) & (pipeline_names | closed_form), fn.__name__
     # one weight rule: u_sun and the cross-check both read w through _weights only
     assert {"_weights", "_validated_coeffs"} <= _names(su.u_sun) & _names(su.check_su_crosscheck)

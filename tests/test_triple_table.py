@@ -23,7 +23,7 @@ import pytest
 
 import flagconn
 from flagconn import DomainError, build_m_basis, build_root_system, chevalley_constants, negate
-from flagconn import chevalley, rootsys
+from flagconn import chevalley, rootsys, su_realization
 from flagconn.chevalley import _adjoint, killing_gram, m_bracket_entries, root_string_p
 from flagconn.rootsys import add_roots
 from test_chevalley import _sum_table_entries
@@ -37,7 +37,7 @@ SYSTEMS = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
 def _root_tables_loop(rs):
     """sum_table and norm_table as the per-pair comprehensions over all_roots."""
     rank, roots = rs.rank, rs.all_roots
-    norms = [rs.norm_table[s] for s in rs.simple_roots]
+    norms = rootsys._simple_norms(rs.family, rank)
     gram = [[rs.pairing_matrix[i][j] * norms[j] // 2 for j in range(rank)] for i in range(rank)]
     norm_table = {r: sum(gram[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
                   for r in roots}
@@ -112,12 +112,19 @@ def _killing_loop(dim, rows):
     return gram
 
 
+def _with_mirrors(rs, sum_table, norm_table):
+    """A copy of rs whose sum_table and norm_table are the given loop tables."""
+    ref = dataclasses.replace(rs)
+    vars(ref).update(sum_table=MappingProxyType(sum_table),
+                     norm_table=MappingProxyType(norm_table))
+    return ref
+
+
 @functools.cache
 def _reference(family, rank):
     rs = build_root_system(family, rank)
     sum_table, norm_table = _root_tables_loop(rs)
-    ref_rs = dataclasses.replace(rs, sum_table=MappingProxyType(sum_table),
-                                 norm_table=MappingProxyType(norm_table))
+    ref_rs = _with_mirrors(rs, sum_table, norm_table)
     n_coeff, coroot_table = _constants_loop(ref_rs)
     ref_sc = SimpleNamespace(rs=ref_rs, n_coeff=n_coeff, coroot_table=coroot_table)
     rows = _adjoint_loop(ref_rs, ref_sc)
@@ -207,30 +214,49 @@ MIRRORED = ([("A", r) for r in range(1, 9)] + [(f, r) for f in "BC" for r in ran
             + [("D", r) for r in range(3, 9)] + [("A", 20), ("D", 24), ("A", 40)])
 
 
+ROOT_MIRRORS, CONSTANT_MIRRORS = ("sum_table", "norm_table"), ("n_coeff", "coroot_table")
+
+
 @pytest.mark.parametrize("family,rank", MIRRORED)
 def test_mirrors_built_on_first_read_equal_the_pair_loops(family, rank):
     # uncached builds: their mirrors are not yet read anywhere else
     rs = rootsys._root_system.__wrapped__(family, rank)
     sc = chevalley.chevalley_constants.__wrapped__(rs)
-    assert "sum_table" not in vars(rs) and "n_coeff" not in vars(sc)
+    assert not vars(rs).keys() & set(ROOT_MIRRORS) and not vars(sc).keys() & set(CONSTANT_MIRRORS)
     sum_table, norm_table = _root_tables_loop(rs)
-    ref_rs = dataclasses.replace(rs, sum_table=MappingProxyType(sum_table),
-                                 norm_table=MappingProxyType(norm_table))
-    n_coeff, _ = _constants_loop(ref_rs)
+    n_coeff, coroot_table = _constants_loop(_with_mirrors(rs, sum_table, norm_table))
     assert list(rs.sum_table.items()) == list(sum_table.items())  # also the key order
+    assert rs.norm_table == norm_table and list(rs.norm_table) == list(rs.roots)
     assert list(sc.n_coeff.items()) == list(n_coeff.items())
-    assert all(type(v) is int for v in sc.n_coeff.values())
-    for table in (rs.sum_table, sc.n_coeff):
-        assert isinstance(table, MappingProxyType)
-    assert rs.sum_table is rs.sum_table and sc.n_coeff is sc.n_coeff  # built once
+    assert sc.coroot_table == coroot_table and list(sc.coroot_table) == list(rs.roots)
+    assert all(type(v) is int for v in (*rs.norm_table.values(), *sc.n_coeff.values()))
+    assert all(type(h) is int for coroot in sc.coroot_table.values() for h in coroot)
+    for obj, names in ((rs, ROOT_MIRRORS), (sc, CONSTANT_MIRRORS)):
+        for name in names:
+            assert isinstance(getattr(obj, name), MappingProxyType)
+            assert getattr(obj, name) is getattr(obj, name)  # built once
+    assert np.array_equal(rs.coords, np.array(rs.roots))
+    assert rs.norms.tolist() == [norm_table[r] for r in rs.roots]
+    assert rs.coroots.tolist() == [list(coroot_table[r]) for r in rs.roots]
+    for array in (rs.coords, rs.norms, rs.coroots):
+        assert array.dtype == np.int64 and not array.flags.writeable
 
 
-def test_a_mirror_passed_in_is_kept():
+def test_a_replaced_system_builds_its_own_equal_mirrors():
     rs = build_root_system("A", 3)
-    table = MappingProxyType({((1, 0, 0), (0, 1, 0)): (1, 1, 0)})
-    replaced = dataclasses.replace(rs, sum_table=table)
-    assert replaced.sum_table is table and replaced.triples is rs.triples
-    assert dataclasses.replace(rs, norm_table=rs.norm_table).sum_table == rs.sum_table
+    sc = chevalley_constants(rs)
+    replaced_rs = dataclasses.replace(rs)
+    replaced_sc = dataclasses.replace(sc, rs=replaced_rs)
+    assert replaced_rs.triples is rs.triples and replaced_sc.n_rows is sc.n_rows
+    for obj, replaced, names in ((rs, replaced_rs, ROOT_MIRRORS),
+                                 (sc, replaced_sc, CONSTANT_MIRRORS)):
+        for name in names:
+            mirror = getattr(obj, name)  # built on the original before the copy reads its own
+            assert name not in vars(replaced)
+            assert getattr(replaced, name) is not mirror
+            assert list(getattr(replaced, name).items()) == list(mirror.items())
+    with pytest.raises(TypeError, match="sum_table"):  # a mirror is no constructor argument
+        dataclasses.replace(rs, sum_table=rs.sum_table)
 
 
 def _python(code, *flags, cwd=None):
@@ -253,7 +279,10 @@ def test_the_pipeline_and_the_b_c_d_jobs_never_build_the_mirrors(tmp_path):
         def built(family, rank):
             rs = build_root_system(family, rank)
             sc = chevalley_constants(rs)
-            return f"{family}{rank}:{'sum_table' in vars(rs)}:{'n_coeff' in vars(sc)}"
+            names = [name for obj, names in ((rs, ("sum_table", "norm_table")),
+                                             (sc, ("n_coeff", "coroot_table")))
+                     for name in names if name in vars(obj)]
+            return f"{family}{rank}:{','.join(names) or '-'}"
 
         for family, rank in (("A", 4), ("B", 3), ("C", 3), ("D", 4)):
             rs = build_root_system(family, rank)
@@ -271,9 +300,8 @@ def test_the_pipeline_and_the_b_c_d_jobs_never_build_the_mirrors(tmp_path):
             print(built(family, rank), code == 0)
     """
     assert _python(code, cwd=tmp_path).split() == [
-        "A4:False:False", "True", "B3:False:False", "True", "C3:False:False", "True",
-        "D4:False:False", "True", "B3:False:False", "True", "C3:False:False", "True",
-        "D4:False:False", "True", "A3:False:True", "True"]
+        "A4:-", "True", "B3:-", "True", "C3:-", "True", "D4:-", "True",
+        "B3:-", "True", "C3:-", "True", "D4:-", "True", "A3:n_coeff", "True"]
 
 
 def test_a_cold_a30_build_keeps_its_key_search_small():
@@ -290,8 +318,9 @@ def test_a_cold_a30_build_keeps_its_key_search_small():
 
 
 def _with_one_norm_changed(rs, root):
-    norm_table = {**rs.norm_table, root: rs.norm_table[root] + 1}
-    return dataclasses.replace(rs, norm_table=MappingProxyType(norm_table))
+    norms = rs.norms.copy()
+    norms[rs.roots.index(root)] += 1
+    return dataclasses.replace(rs, norms=norms)
 
 
 # the first remainder shows in the array rotation, the Jacobi step and the rotation
@@ -306,11 +335,12 @@ def test_an_inexact_division_raises(family, rank, root):
 
 def test_an_inexact_division_raises_under_python_o():
     # python -O strips assert statements; the exact divisions must still refuse a remainder
-    code = ("import dataclasses, types, flagconn\n"
+    code = ("import dataclasses, flagconn\n"
             "rs = flagconn.build_root_system('A', 2)\n"
-            "norms = types.MappingProxyType({**rs.norm_table, (1, 1): 3})\n"
+            "norms = rs.norms.copy()\n"
+            "norms[rs.roots.index((1, 1))] = 3\n"
             "try:\n"
-            "    flagconn.chevalley_constants(dataclasses.replace(rs, norm_table=norms))\n"
+            "    flagconn.chevalley_constants(dataclasses.replace(rs, norms=norms))\n"
             "except flagconn.DomainError as exc:\n"
             "    print('raised', exc)\n")
     out = _python(code, "-O")
@@ -328,7 +358,7 @@ def _killing_join(rs, sc):
     triple table. Uncached, so that no adjoint table stays behind."""
     labels, index, (x, o, i, v) = _adjoint.__wrapped__(rs, sc)
     dim = len(labels)
-    left, right = rootsys._join(i * dim + o, o * dim + i)
+    left, right = su_realization._join(i * dim + o, o * dim + i)
     gram = np.zeros((dim, dim), dtype=np.int64)
     np.add.at(gram, (x[left], x[right]), v[left] * v[right])
     return labels, index, gram
