@@ -152,7 +152,7 @@ def chevalley_constants(rs: RootSystem) -> StructureConstants:
 
     # by height, so that n_at reads only the positive pairs of lower sums
     for rho in sorted(special, key=lambda k: sum(rs.roots[k])):
-        (a0, b0), *pairs = sorted(special[rho])
+        (a0, b0), *pairs = special[rho]  # in row order: g ascending
         n0 = root_string_p(rs, rs.roots[a0], rs.roots[b0]) + 1
         positive[a0][b0], positive[b0][a0] = n0, -n0
         for g, d in pairs:
@@ -270,14 +270,15 @@ def killing_gram(rs: RootSystem, sc: StructureConstants) -> KillingForm:
     integers, on the slot pairs known by construction: ad H_h is diagonal on the E's, so
     the H-H block is act.T @ act, and by weight B pairs E_a only with E_{-a}. B(E_a, E_{-a})
     sums N(a, b) N(-a, a + b) over the triple rows (a, b, a + b), with N read off n_rows
-    on the row (-a, a + b, b) that one sorted join of the pair keys finds, and the slots
+    on the row (-a, a + b, b): the rows are sorted by a·|R| + b, row-major in rs.roots order,
+    so one argsort of the keys (-a)·|R| + (a + b) finds it, and the slots
     [E_a, H_h] against [E_{-a}, E_a] = H_{-a} and [E_a, E_{-a}] = H_a against [E_{-a}, H_h]."""
     labels, index, act, coroots = _basis(rs, sc)
     rank, nroots = rs.rank, len(rs.roots)
     minus = (np.arange(nroots) + nroots // 2) % nroots  # -rs.roots[e] is rs.roots[minus[e]]
     a, b, s = rs.triples
     partner = np.empty_like(sc.n_rows)  # N on the row (-a, s, b) of each row (a, b, s)
-    partner[np.argsort(minus[a] * nroots + s)] = sc.n_rows[np.argsort(a * nroots + b)]
+    partner[np.argsort(minus[a] * nroots + s)] = sc.n_rows
     trace = -(act * coroots[minus] + coroots * act[minus]).sum(axis=1)
     np.add.at(trace, a, sc.n_rows * partner)
     gram = np.zeros((rank + nroots,) * 2, dtype=np.int64)

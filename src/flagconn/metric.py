@@ -85,7 +85,7 @@ class MetricSpec:
         return tuple(map(self.coeffs.get, rs.positive_roots))
 
     def validate(self, rs: RootSystem) -> None:
-        _coefficients(rs, self._values(rs))
+        _per_metric(_checked, rs, self._values(rs), rs)
 
 
 @dataclass(frozen=True, eq=False)

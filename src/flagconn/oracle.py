@@ -24,7 +24,7 @@ import numpy as np
 from .chevalley import (MBasis, StructureConstants, _contract, chevalley_constants, killing_gram,
                         m_bracket_entries)
 from .connection import ConnectionTensor, _entries
-from .metric import MetricGram, MetricSpec, _gram, _per_metric
+from .metric import MetricGram, MetricSpec, build_metric
 from .rootsys import RootSystem, _one_system, negate
 
 DEFAULT_TOLERANCE = 1e-9
@@ -145,7 +145,7 @@ def check_oracle_equivalence(
 ) -> CheckReport:
     """Compare the closed-form U with the oracle entry by entry on the bracket keys,
     off which both vanish; a witness is the (i, j, k) of an entry."""
-    gram = _per_metric(_gram, rs, spec._values(rs), rs, killing_gram(rs, sc))
+    gram = build_metric(rs, killing_gram(rs, sc), spec)
     i, j, k, u, _ = _entries(sc, gram.mbasis, spec)
     res = u - _oracle_entries(sc, gram)
     return _residual_report("oracle-equivalence", np.abs(res, out=res), tolerance, (i, j, k))

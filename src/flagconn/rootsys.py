@@ -7,7 +7,8 @@ sorting and for selecting canonical pairs downstream. Systems are generated
 by root-string closure from the Cartan pairing, not from hard-coded tables,
 so the standard positive-root counts act as an independent cross-check.
 One root-triple table per system lists every pair of roots whose sum is a
-root as index rows. The sums are found through ``uint64`` keys linear in the
+root as index rows (a, b, s), sorted by a·|R| + b, row-major in ``roots`` order.
+The sums are found through ``uint64`` keys linear in the
 coordinates modulo 2**64, at every rank, one fixed block of rows at a time:
 wrapping arithmetic keeps the key of a sum the sum of the keys, a build in
 which two roots share a key is refused, and a key match counts only where the
@@ -15,12 +16,13 @@ coordinates add up exactly.
 
 The per-root data is kept as read-only int64 arrays, one row per root of
 ``roots``: the coordinates, the squared norms and the coroots. The tuple-keyed
-dicts ``sum_table`` and ``norm_table`` mirror the triple table and the norms
-for the ``LieElement`` API (``root_sum``, ``chevalley.bracket``,
-``connection.z_term``); each is a cached property, built on its first read, as
-are ``StructureConstants.n_coeff`` and ``coroot_table``. The array pipeline
-reads only the arrays and never builds a mirror, nor do the B, C and D CLI
-jobs (an A job reads N in its su(n+1) alignment).
+dicts ``sum_table`` and ``norm_table`` mirror the triple table and the norms as
+public views; each is a cached property, built on its first read, as are
+``StructureConstants.n_coeff`` and ``coroot_table``. No library call builds
+``sum_table`` or ``norm_table``: ``root_sum``, ``chevalley.bracket`` and
+``connection.z_term`` add the roots and test membership in ``all_roots``. The
+array pipeline reads only the arrays and never builds a mirror, nor do the B, C
+and D CLI jobs (an A job reads N in its su(n+1) alignment).
 """
 
 from __future__ import annotations
@@ -98,14 +100,13 @@ class RootSystem:
     ``positive_roots`` is sorted strictly ascending in the lexicographic
     order; ``all_roots`` is the disjoint union with the negatives; ``triples``
     holds one row (a, b, s) of indices into ``roots`` (the positive roots, then
-    their negatives) for each pair of roots whose sum is again a root, in the
-    order of a loop over ``all_roots`` twice. ``coords``, ``norms`` and
+    their negatives) for each pair of roots whose sum is again a root, sorted by
+    a·|R| + b, row-major in ``roots`` order. ``coords``, ``norms`` and
     ``coroots`` hold one row per root of ``roots``. The mirrors ``sum_table``
     (each pair (roots[a], roots[b]) of a row to roots[s], in the order of the
     rows) and ``norm_table`` (each root to its norm, in the order of ``roots``)
-    are built on their first read, by the ``LieElement`` API (``root_sum``,
-    ``bracket``, ``z_term``). One object per (family, rank) is shared, so its
-    tables are read-only.
+    are public views built on their first read; no library call builds them.
+    One object per (family, rank) is shared, so its tables are read-only.
     """
 
     family: str
@@ -197,33 +198,27 @@ _SEARCH_BLOCK = 1 << 16
 def _root_system(fam: str, rank: int) -> RootSystem:
     pairing = _cartan_pairing(fam, rank)
     simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
-    positive = _generate_positive(pairing, simple)
-    pos_sorted = tuple(sorted(positive))  # tuple order is the lexicographic order
-    negative = dict(zip(pos_sorted, map(negate, pos_sorted)))
-    all_roots = frozenset(positive) | {negative[r] for r in positive}
+    positive = tuple(sorted(_generate_positive(pairing, simple)))  # tuples sort lexicographically
+    roots = positive + tuple(map(negate, positive))
+    all_roots = frozenset(roots)
 
-    # in triple-table order, keyed linearly modulo 2**64: wrapping keeps key(a) + key(b) =
-    # key(a + b) exact, so with distinct root keys no sum is missed, and a key match counts
-    # only where the coordinates add up (roots lie in [-2, 2], their sums in [-4, 4])
-    roots = pos_sorted + tuple(negative.values())
-    coords = np.array(pos_sorted, dtype=np.int64)
+    # keyed linearly modulo 2**64: wrapping keeps key(a) + key(b) = key(a + b) exact, so
+    # with distinct root keys no sum is missed, and a key match counts only where the
+    # coordinates add up (roots lie in [-2, 2], their sums in [-4, 4])
+    coords = np.array(positive, dtype=np.int64)
     coords = np.concatenate([coords, -coords])  # the negatives follow in the same order
     keys = coords.astype(np.uint64) @ _key_multipliers(rank)
     order = np.argsort(keys)
     ranked = keys[order]
     if (ranked[1:] == ranked[:-1]).any():
         raise DomainError(f"two roots of {fam}{rank} share a sum key")
-
-    index = {r: i for i, r in enumerate(roots)}  # listed: the root indices in all_roots order
-    listed = np.fromiter(map(index.__getitem__, all_roots), np.int64, len(roots))
-    left = keys[listed]
     step = max(1, _SEARCH_BLOCK // len(roots))  # rows per block: its temporaries stay small
 
     def find(start):  # rows (a, b, s) of the block of pairs from row start on, key matches
-        k = left[start:start + step, None] + left
+        k = keys[start:start + step, None] + keys
         at = np.minimum(np.searchsorted(ranked, k), len(keys) - 1)
-        row, col = np.nonzero(ranked[at] == k)  # row-major: the order of a loop over all_roots
-        return np.array([listed[row + start], listed[col], order[at[row, col]]])
+        row, col = np.nonzero(ranked[at] == k)  # row-major in roots order: by a·|R| + b
+        return np.array([row + start, col, order[at[row, col]]])
 
     a, b, s = candidates = np.concatenate([find(at) for at in range(0, len(roots), step)], axis=1)
     small = coords.astype(np.int8)  # the per-candidate temporaries stay one byte a coordinate
@@ -240,7 +235,7 @@ def _root_system(fam: str, rank: int) -> RootSystem:
         family=fam,
         rank=rank,
         simple_roots=simple,
-        positive_roots=pos_sorted,
+        positive_roots=positive,
         roots=roots,
         all_roots=all_roots,
         pairing_matrix=pairing,
@@ -285,4 +280,5 @@ def abs_root(rs: RootSystem, gamma: Coords) -> Coords:
 def root_sum(rs: RootSystem, alpha: Coords, beta: Coords) -> Coords | None:
     """alpha + beta when it is a root, else None (zero is never a root)."""
     _check_roots(rs, alpha, beta)
-    return rs.sum_table.get((alpha, beta))
+    s = add_roots(alpha, beta)
+    return s if s in rs.all_roots else None

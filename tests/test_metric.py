@@ -13,12 +13,14 @@ from flagconn import (
     MetricSpec,
     assemble_tensor,
     build_metric,
+    build_root_system,
     check_metric_compat,
     check_oracle_equivalence,
     check_torsion,
     inner,
     nabla,
 )
+from flagconn.cli import JobConfig, run_job
 from conftest import RANK_LE_4, pipeline, random_metric, random_mvector
 
 
@@ -168,7 +170,8 @@ def test_an_unhashable_real_number_is_a_configuration_error(a2, slot):
     values[slot] = _UnhashableReal(values[slot])
     spec = MetricSpec.from_values(a2.rs, values)
     x = np.ones(a2.mb.dim)
-    for call in (lambda: build_metric(a2.rs, a2.killing, spec),
+    for call in (lambda: spec.validate(a2.rs),
+                 lambda: build_metric(a2.rs, a2.killing, spec),
                  lambda: nabla(a2.sc, a2.mb, spec, x, x),
                  lambda: assemble_tensor(a2.sc, a2.mb, spec),
                  lambda: check_oracle_equivalence(a2.rs, a2.sc, spec)):
@@ -203,6 +206,24 @@ def test_one_metric_checks_its_coefficients_once(monkeypatch):
                check_metric_compat(tensor, gram)]
     assert all(r.passed for r in reports)
     assert calls == [tuple(values.tolist())]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+def test_one_job_checks_its_coefficients_once(tmp_path, monkeypatch, family, rank):
+    """A CLI job validates its metric, then builds, checks and (family A) cross-checks it
+    through the same memo: the coefficient check runs once."""
+    rs = build_root_system(family, rank)
+    c = np.random.default_rng(2027).uniform(0.5, 5.0, len(rs.positive_roots)).tolist()
+    calls = []
+    check = flagconn.metric._coefficients
+    monkeypatch.setattr(flagconn.metric, "_coefficients",
+                        lambda rs, values: calls.append(values) or check(rs, values))
+    flagconn.metric._checked.cache_clear()
+    coefficients = [{"root": list(a), "c": v} for a, v in zip(rs.positive_roots, c)]
+    config = JobConfig(family=family, rank=rank, coefficients=coefficients, checks="all",
+                       output_path=str(tmp_path / "doc.json"))
+    assert run_job(config) == 0
+    assert calls == [tuple(c)]
 
 
 def test_per_metric_memos_hold_one_metric():

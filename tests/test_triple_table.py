@@ -35,13 +35,13 @@ SYSTEMS = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
 
 
 def _root_tables_loop(rs):
-    """sum_table and norm_table as the per-pair comprehensions over all_roots."""
-    rank, roots = rs.rank, rs.all_roots
+    """sum_table and norm_table as the per-pair comprehensions over rs.roots."""
+    rank, roots, all_roots = rs.rank, rs.roots, rs.all_roots
     norms = rootsys._simple_norms(rs.family, rank)
     gram = [[rs.pairing_matrix[i][j] * norms[j] // 2 for j in range(rank)] for i in range(rank)]
     norm_table = {r: sum(gram[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
                   for r in roots}
-    sum_table = {(a, b): s for a in roots for b in roots if (s := add_roots(a, b)) in roots}
+    sum_table = {(a, b): s for a in roots for b in roots if (s := add_roots(a, b)) in all_roots}
     return sum_table, norm_table
 
 
@@ -242,6 +242,27 @@ def test_mirrors_built_on_first_read_equal_the_pair_loops(family, rank):
         assert array.dtype == np.int64 and not array.flags.writeable
 
 
+@pytest.mark.parametrize("family,rank", MIRRORED)
+def test_the_triple_rows_are_sorted_by_their_pair_key(family, rank):
+    rs = build_root_system(family, rank)
+    a, b, _ = rs.triples
+    assert (np.diff(a * len(rs.roots) + b) > 0).all()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 6), ("C", 5), ("A", 10), ("D", 8)])
+def test_the_triple_rows_do_not_depend_on_the_set_order(monkeypatch, family, rank):
+    # the same positive roots, inserted into their set in reverse order, iterate in
+    # another order on these systems; uncached builds, so the shared systems stay as built
+    expected = rootsys._root_system.__wrapped__(family, rank)
+    generate = rootsys._generate_positive
+    monkeypatch.setattr(rootsys, "_generate_positive",
+                        lambda *args: set(reversed(list(generate(*args)))))
+    rs = rootsys._root_system.__wrapped__(family, rank)
+    assert rs.triples.tobytes() == expected.triples.tobytes()
+    n_rows = chevalley.chevalley_constants.__wrapped__(rs).n_rows
+    assert n_rows.tobytes() == chevalley.chevalley_constants.__wrapped__(expected).n_rows.tobytes()
+
+
 def test_a_replaced_system_builds_its_own_equal_mirrors():
     rs = build_root_system("A", 3)
     sc = chevalley_constants(rs)
@@ -292,6 +313,9 @@ def test_the_pipeline_and_the_b_c_d_jobs_never_build_the_mirrors(tmp_path):
             tensor = assemble_tensor(sc, mb, spec)
             reports = [check_oracle_equivalence(rs, sc, spec), check_torsion(tensor, sc),
                        check_metric_compat(tensor, gram), check_lemma2(rs)]
+            alpha, beta = rs.simple_roots[:2]  # adjacent: a root sum, and 2 alpha is none
+            assert root_sum(rs, alpha, beta) == (1, 1) + alpha[2:]
+            assert root_sum(rs, alpha, alpha) is None
             print(built(family, rank), all(r.passed for r in reports))
         for family, rank in (("B", 3), ("C", 3), ("D", 4), ("A", 3)):
             with contextlib.redirect_stdout(io.StringIO()):  # the job prints its reports
