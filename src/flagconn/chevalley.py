@@ -348,8 +348,16 @@ def project_root_space(x: LieElement, gamma: Coords) -> complex:
     return x.roots.get(gamma, 0.0 + 0.0j)
 
 
+_FLOAT = np.dtype(float)
+
+
 def _coords(mb: MBasis, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    """x as real m coordinates: complex ones are refused, never cast to their real part."""
+    x = np.asarray(x)
+    if x.dtype is not _FLOAT:  # a float array passes uncast, the hot path of a point query
+        if x.dtype.kind == "c":
+            raise DomainError(f"m coordinates must be real, got dtype {x.dtype}")
+        x = x.astype(float)
     if x.shape != (mb.dim,):
         raise DimensionError(f"expected coordinate length {mb.dim}, got {x.shape}")
     return x

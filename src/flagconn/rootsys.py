@@ -8,11 +8,10 @@ by root-string closure from the Cartan pairing, not from hard-coded tables,
 so the standard positive-root counts act as an independent cross-check.
 One root-triple table per system lists every pair of roots whose sum is a
 root as index rows (a, b, s), sorted by a·|R| + b, row-major in ``roots`` order.
-The sums are found through ``uint64`` keys linear in the
-coordinates modulo 2**64, at every rank, one fixed block of rows at a time:
-wrapping arithmetic keeps the key of a sum the sum of the keys, a build in
-which two roots share a key is refused, and a key match counts only where the
-coordinates add up exactly.
+The sums are found by keying each root with its int8 coordinate row, read as
+one ``np.void`` of ``rank`` bytes, at every rank, one fixed block of rows at a time:
+roots lie in [-2, 2] and their sums in [-4, 4], so the key of a sum is exact,
+two roots never share one, and a key match is a sum match.
 
 The per-root data is kept as read-only int64 arrays, one row per root of
 ``roots``: the coordinates, the squared norms and the coroots. The tuple-keyed
@@ -185,12 +184,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return _root_system(fam, n)
 
 
-def _key_multipliers(rank: int) -> np.ndarray:
-    """Fixed odd multipliers of the root keys: the powers of the 64-bit golden-ratio constant."""
-    return np.cumprod(np.full(rank, 0x9E3779B97F4A7C15, dtype=np.uint64))
-
-
-# root pairs keyed per block of the sum search: a few hundred KiB of temporaries at any rank
+# root pairs summed per block of the search: its temporaries grow with rank, about
+# 65 536·rank bytes of int8 sums (2.6 MB at rank 40) and as many of matched keys
 _SEARCH_BLOCK = 1 << 16
 
 
@@ -199,30 +194,28 @@ def _root_system(fam: str, rank: int) -> RootSystem:
     pairing = _cartan_pairing(fam, rank)
     simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
     positive = tuple(sorted(_generate_positive(pairing, simple)))  # tuples sort lexicographically
-    roots = positive + tuple(map(negate, positive))
-    all_roots = frozenset(roots)
+    negatives = tuple(map(negate, positive))
+    roots = positive + negatives
+    all_roots = frozenset(positive) | frozenset(negatives)  # presized on the merge
 
-    # keyed linearly modulo 2**64: wrapping keeps key(a) + key(b) = key(a + b) exact, so
-    # with distinct root keys no sum is missed, and a key match counts only where the
-    # coordinates add up (roots lie in [-2, 2], their sums in [-4, 4])
+    # each root keyed by its int8 coordinate row as one void of rank bytes: roots lie in
+    # [-2, 2], their sums in [-4, 4], so a key match is exactly a sum that is a root
     coords = np.array(positive, dtype=np.int64)
     coords = np.concatenate([coords, -coords])  # the negatives follow in the same order
-    keys = coords.astype(np.uint64) @ _key_multipliers(rank)
+    small = coords.astype(np.int8)
+    bytes_key = np.dtype((np.void, rank))
+    keys = small.view(bytes_key)[:, 0]
     order = np.argsort(keys)
     ranked = keys[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        raise DomainError(f"two roots of {fam}{rank} share a sum key")
     step = max(1, _SEARCH_BLOCK // len(roots))  # rows per block: its temporaries stay small
 
-    def find(start):  # rows (a, b, s) of the block of pairs from row start on, key matches
-        k = keys[start:start + step, None] + keys
+    def find(start):  # rows (a, b, s) of the block of pairs from row start on
+        k = (small[start:start + step, None] + small).view(bytes_key)[..., 0]
         at = np.minimum(np.searchsorted(ranked, k), len(keys) - 1)
         row, col = np.nonzero(ranked[at] == k)  # row-major in roots order: by a·|R| + b
         return np.array([row + start, col, order[at[row, col]]])
 
-    a, b, s = candidates = np.concatenate([find(at) for at in range(0, len(roots), step)], axis=1)
-    small = coords.astype(np.int8)  # the per-candidate temporaries stay one byte a coordinate
-    triples = candidates[:, (small[a] + small[b] == small[s]).all(axis=1)]
+    triples = np.concatenate([find(at) for at in range(0, len(roots), step)], axis=1)
 
     # |a|^2 sums a_i a_j (alpha_i, alpha_j), with 2 (alpha_i, alpha_j) = P[i][j] |alpha_j|^2
     scaled = coords * np.array(_simple_norms(fam, rank))

@@ -59,6 +59,8 @@ class EpsRoot(NamedTuple):
 
 
 def _check_indices(n: int, r: EpsRoot) -> None:
+    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in r):
+        raise DomainError(f"eps root indices must be integers, got {tuple(r)!r}")
     if not (1 <= r.i <= n + 1 and 1 <= r.j <= n + 1) or r.i == r.j:
         raise DomainError(f"invalid eps root indices {tuple(r)} for n = {n}")
 
@@ -71,7 +73,10 @@ def positive_eps_roots(n: int) -> list[EpsRoot]:
 
 def eps_to_simple(n: int, r: EpsRoot) -> Coords:
     """Simple-root coordinates of eps_i - eps_j."""
-    r = EpsRoot(*r)
+    try:
+        r = EpsRoot(*r)
+    except TypeError:  # no pair: another length, or nothing to unpack
+        raise DomainError(f"an eps root is an index pair (i, j), got {r!r}") from None
     _check_indices(n, r)
     lo, hi, sign = (r.i, r.j, 1) if r.i < r.j else (r.j, r.i, -1)
     return tuple(sign if lo <= s < hi else 0 for s in range(1, n + 1))
@@ -116,11 +121,25 @@ def m_component(x: np.ndarray, r: EpsRoot) -> np.ndarray:
     return out
 
 
+_FLOAT = np.dtype(float)
+
+
+def _real(coords) -> np.ndarray:
+    """coords as a float array: complex ones are refused, never cast to their real part. The
+    rule of the pipeline's coordinate check, kept here so that no pipeline helper is read."""
+    coords = np.asarray(coords)
+    if coords.dtype is not _FLOAT:
+        if coords.dtype.kind == "c":
+            raise DomainError(f"m coordinates must be real, got dtype {coords.dtype}")
+        coords = coords.astype(float)
+    return coords
+
+
 def su_from_coords(n: int, coords: np.ndarray) -> np.ndarray:
     """Expand real coordinates over su_m_basis into a matrix, keeping leading axes: the block
     coordinates (u, v) of eps_p - eps_q, p < q, give u + iv at (p, q) and -u + iv at (q, p)."""
     p, q = _eps_entries(n)
-    coords = np.asarray(coords, dtype=float)
+    coords = _real(coords)
     if coords.shape[-1:] != (2 * len(p),):
         raise DimensionError(f"expected {2 * len(p)} coordinates, got {coords.shape}")
     u, v = coords[..., ::2], 1j * coords[..., 1::2]
@@ -183,8 +202,12 @@ class SuAlignment:
         return out
 
     def transport(self, coords: np.ndarray) -> np.ndarray:
-        """Map abstract m coordinates to matrix-basis m coordinates."""
-        return self.coord_signs * np.asarray(coords, dtype=float)
+        """Map abstract m coordinates to matrix-basis m coordinates, keeping leading axes."""
+        coords = _real(coords)
+        if coords.shape[-1:] != self.coord_signs.shape:
+            raise DimensionError(
+                f"expected {len(self.coord_signs)} coordinates, got {coords.shape}")
+        return self.coord_signs * coords
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from flagconn import (
     assemble_tensor,
     build_metric,
     canonical_pair,
+    inner,
     lex_compare,
     m_bracket_table,
     nabla,
@@ -460,3 +461,39 @@ def test_point_queries_are_float_zeros_without_bracket_entries():
     for got in (nabla(pl.sc, pl.mb, spec, x, y), u_bilinear(pl.sc, pl.mb, spec, x, y),
                 u_oracle(pl.rs, pl.sc, gram, x, y)):
         assert got.dtype == float and not got.any()
+
+
+# complex m coordinates: an array, a list of numpy complex entries and a Python list; a
+# complex array was cast to its real part with only a ComplexWarning, a Python list raised
+# a bare TypeError
+COMPLEX_COORDS = {"array": lambda dim: 1j * np.ones(dim),
+                  "numpy-entries": lambda dim: [np.complex128(1j)] * dim,
+                  "python-list": lambda dim: [1 + 1j] * dim}
+
+
+@pytest.mark.parametrize("form", list(COMPLEX_COORDS))
+def test_complex_coordinates_are_refused_at_every_gate(a2, form):
+    spec = random_metric(a2.rs, 5)
+    gram = build_metric(a2.rs, a2.killing, spec)
+    bad, ones = COMPLEX_COORDS[form](a2.mb.dim), np.ones(a2.mb.dim)
+    calls = [lambda: nabla(a2.sc, a2.mb, spec, bad, ones),
+             lambda: nabla(a2.sc, a2.mb, spec, ones, bad),
+             lambda: u_bilinear(a2.sc, a2.mb, spec, bad, ones),
+             lambda: u_oracle(a2.rs, a2.sc, gram, ones, bad),
+             lambda: a2.mb.to_lie(bad),
+             lambda: inner(gram, bad, ones)]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be real"):
+            call()
+
+
+def test_real_coordinates_of_any_real_dtype_give_the_float_answer(b2):
+    spec = random_metric(b2.rs, 7)
+    gram = build_metric(b2.rs, b2.killing, spec)
+    x = np.arange(b2.mb.dim) % 3 - 1
+    y = np.arange(b2.mb.dim)[::-1] % 2
+    want = nabla(b2.sc, b2.mb, spec, x.astype(float), y.astype(float))
+    for xs, ys in ((x, y), (x.tolist(), y.tolist()), (x.astype(np.float32), y.astype(np.int8))):
+        assert nabla(b2.sc, b2.mb, spec, xs, ys).tobytes() == want.tobytes()
+        assert u_oracle(b2.rs, b2.sc, gram, xs, ys).dtype == np.float64
+        assert inner(gram, xs, ys) == inner(gram, x.astype(float), y.astype(float))

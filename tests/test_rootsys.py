@@ -1,6 +1,7 @@
 """Root system construction, order, and membership tables."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ def test_root_invariants(family, rank):
         assert rs.is_positive(r) != rs.is_positive(negate(r))
     assert set(rs.positive_roots) | {negate(r) for r in rs.positive_roots} == rs.all_roots
     assert len(rs.all_roots) == 2 * len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("family,rank", [("D", 8), ("A", 20), ("A", 40)])
+def test_all_roots_is_presized_as_the_merged_union(family, rank):
+    # a set built one root at a time grows its table 4x per resize: at these ranks it
+    # ends with twice the slots of the union of the positive and the negative roots
+    rs = build_root_system(family, rank)
+    union = frozenset(rs.positive_roots) | frozenset(map(negate, rs.positive_roots))
+    assert rs.all_roots == union and sys.getsizeof(rs.all_roots) == sys.getsizeof(union)
 
 
 def test_a1_is_a_single_pair():

@@ -26,7 +26,7 @@ def test_no_module_of_the_package_asserts():
 
 def test_no_array_of_the_package_holds_python_objects():
     # an object array does its arithmetic one Python object at a time: the root keys
-    # wrap in uint64 instead of growing into Python ints past int64
+    # are int8 coordinate bytes, never Python ints grown past int64
     named = [place for place, node in _nodes()
              if isinstance(node, ast.keyword) and node.arg == "dtype"
              and any(isinstance(n, ast.Name) and n.id == "object"

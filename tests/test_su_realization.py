@@ -36,6 +36,7 @@ from flagconn.su_realization import (
     su_to_coords,
 )
 from conftest import pipeline, random_metric, random_mvector
+from test_connection import COMPLEX_COORDS
 
 
 def test_basis_sizes():
@@ -80,6 +81,15 @@ def test_eps_invalid_indices():
         eps_to_simple(2, EpsRoot(0, 2))
     with pytest.raises(DomainError):
         simple_to_eps(2, (1, -1))
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 3), (1,), "ab", "12", 12, None, (1.0, 2), (True, 2)],
+                         ids=["3-tuple", "1-tuple", "string", "digit-string", "int", "none",
+                              "float-index", "bool-index"])
+def test_eps_to_simple_refuses_what_is_no_index_pair(bad):
+    # a 3-tuple or a string raised a bare TypeError; a float index gave the zero vector
+    with pytest.raises(DomainError):
+        eps_to_simple(2, bad)
 
 
 def test_a_wrong_coordinate_length_is_a_dimension_error():
@@ -678,3 +688,34 @@ def test_su_coefficient_negative_control(a3, monkeypatch):
     assert not report.passed and report.witness == dense[2].witness
     assert report.max_residual == pytest.approx(dense[2].max_residual, rel=1e-9)
     assert report.max_residual > 1e-4
+
+
+@pytest.mark.parametrize("form", list(COMPLEX_COORDS))
+def test_complex_coordinates_are_refused_by_the_matrix_route(form):
+    # the same forms as the pipeline's gates, refused by the same rule
+    al = build_alignment(2)
+    bad, ones = COMPLEX_COORDS[form](6), np.ones(6)
+    coeffs = {EpsRoot(1, 2): 1.0, EpsRoot(1, 3): 2.0, EpsRoot(2, 3): 3.0}
+    for call in (lambda: u_sun(2, coeffs, bad, ones), lambda: u_sun(2, coeffs, ones, bad),
+                 lambda: u_su3(1.0, 2.0, 3.0, bad, ones), lambda: su_from_coords(2, bad),
+                 lambda: al.transport(bad)):
+        with pytest.raises(DomainError, match="must be real"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [2.0, np.ones(1), np.ones(5), [1.0] * 7, np.ones((2, 3)),
+                                 np.ones((6, 5))],
+                         ids=["scalar", "length-1", "length-5", "list-7", "2x3", "6x5"])
+def test_transport_refuses_another_last_axis(bad):
+    # a scalar or a length-1 vector broadcast to a full vector, another length raised
+    # a bare ValueError
+    with pytest.raises(DimensionError):
+        build_alignment(2).transport(bad)
+
+
+def test_transport_keeps_leading_axes():
+    al = build_alignment(3)
+    x = np.random.default_rng(11).normal(size=(2, 4, 12))
+    out = al.transport(x)
+    assert out.shape == x.shape and np.array_equal(out[1, 2], al.transport(x[1, 2]))
+    assert np.array_equal(al.transport(list(x[0, 0])), al.coord_signs * x[0, 0])

@@ -149,34 +149,10 @@ def test_root_tables_equal_the_pair_loops(family, rank):
 
 def test_keys_past_int64_give_the_same_sums():
     # B20 is past the int64 range of the earlier radix keys (9**20 > 2**63), where the build
-    # once switched to Python ints; the wrapping keys must find the same sums there
+    # once switched to Python ints; the byte keys of its 20 coordinates find the same sums
     rs = build_root_system("B", 20)
     sum_table, norm_table = _root_tables_loop(rs)
     assert list(rs.sum_table.items()) == list(sum_table.items()) and rs.norm_table == norm_table
-
-
-@pytest.fixture
-def key_multipliers(monkeypatch):
-    """Sets the root-key multipliers of the builds inside the test, on a cold cache."""
-    def use(*w):
-        monkeypatch.setattr(rootsys, "_key_multipliers", lambda rank: np.array(w, np.uint64))
-    rootsys._root_system.cache_clear()
-    yield use
-    rootsys._root_system.cache_clear()  # drop the systems built on the patched keys
-
-
-def test_two_roots_on_one_key_refuse_the_build(key_multipliers):
-    key_multipliers(1, 1)  # (1, 0) and (0, 1) share the key 1
-    with pytest.raises(DomainError, match="share a sum key"):
-        build_root_system("A", 2)
-
-
-def test_a_key_match_counts_only_where_the_coordinates_add_up(key_multipliers):
-    key_multipliers(1, 2)  # distinct root keys, but (1, 0) + (1, 0) has the key of (0, 1)
-    rs = build_root_system("A", 2)
-    sum_table, norm_table = _root_tables_loop(rs)
-    assert list(rs.sum_table.items()) == list(sum_table.items()) and rs.norm_table == norm_table
-    assert ((1, 0), (1, 0)) not in rs.sum_table and len(rs.sum_table) == 12
 
 
 @pytest.mark.parametrize("family,rank", SYSTEMS)
